@@ -49,6 +49,8 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
         if args.dt <= 0.0:
             raise ConfigError("--dt must be > 0")
         run = replace(run, dt=args.dt)
+    if args.threads < 1:
+        raise ConfigError("--threads must be >= 1")
     out = cfg.output
     if args.out is not None:
         out = replace(out, path=args.out)

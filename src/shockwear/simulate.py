@@ -13,8 +13,9 @@ for a given seed):
 
   path stream  : [theta uniform if a theta law is set] then, per chunk of
                  _CHUNK steps, a block of gamma increments at the pre-change
-                 shape, a block of uniforms for the post-change extra
-                 increment, a block of uniforms for arrival counts.
+                 shape, then one block of 2*_CHUNK uniforms: the first half
+                 for the post-change extra increment, the second half for
+                 arrival counts.
   marks stream : per shock, one normal magnitude then (if non-fatal) one
                  normal jump.
 
@@ -165,14 +166,15 @@ def _simulate_batch(params: ModelParams, horizon: float, dt: float, master_seed:
             if live.size == 0:
                 break
             span = min(_CHUNK, n_steps - k)
+            g1 = u = u2 = upois = None  # free the last chunk's buffers before allocating
             g1 = np.empty((live.size, span))
-            u2 = np.empty((live.size, span))
-            upois = np.empty((live.size, span))
+            u = np.empty((live.size, 2 * span))
             for r in range(live.size):
                 g = path_gens[live[r]]
                 g1[r] = g.gamma(shape_pre[live[r]], scale, size=span)
-                u2[r] = g.random(span)
-                upois[r] = g.random(span)
+                g.random(out=u[r])
+            u2 = u[:, :span]
+            upois = u[:, span:]
 
         t_end = (k + 1) * dt
 

@@ -134,6 +134,14 @@ class TestCurveCommand:
                      "--out", str(out)]) == 0
         assert out.read_text().splitlines()[1].split(",")[4] == "100"
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_is_config_error(self, tmp_path, capsys, threads):
+        out = tmp_path / "c.csv"
+        cfg = write_config(tmp_path, valve_doc())
+        assert main(["curve", "--config", cfg, "--threads", threads, "--out", str(out)]) == 2
+        assert "--threads must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_print_config_roundtrip(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, valve_doc())
         assert main(["curve", "--config", cfg_path, "--print-config"]) == 0
