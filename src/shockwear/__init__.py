@@ -8,14 +8,7 @@ semi-analytic evaluator for the decoupled special case used as an oracle, and
 a CLI for curves, parameter sweeps, validation runs and trajectory export.
 """
 
-from .degradation import (
-    DegradationParams,
-    DegradationState,
-    advance,
-    apply_jump,
-    total,
-    trigger_rate_change,
-)
+from .degradation import DegradationParams
 from .errors import (
     ConfigError,
     IntegrationError,
@@ -32,7 +25,6 @@ from .kernel import (
     iid_sum_normal,
     normal_cdf,
     normal_pdf,
-    sample_gamma_increment,
 )
 from .quadrature import integrate
 from .reliability import (
@@ -46,16 +38,7 @@ from .reliability import (
     wilson_interval,
 )
 from .rng import MARK_STREAM, PATH_STREAM, replication_stream
-from .shocks import (
-    MAX_RATE_DT,
-    ShockEvent,
-    ShockParams,
-    arrivals_in_step,
-    classify,
-    draw_shock,
-    intensity,
-    poisson_counts,
-)
+from .shocks import MAX_RATE_DT, ShockParams, poisson_counts
 from .simulate import (
     ModelParams,
     Numerics,
@@ -71,7 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError",
     "DegradationParams",
-    "DegradationState",
     "GammaLaw",
     "IntegrationError",
     "MAX_RATE_DT",
@@ -83,18 +65,12 @@ __all__ = [
     "ReliabilityCurve",
     "ReplicationOutcome",
     "SWEEPABLE",
-    "ShockEvent",
     "ShockParams",
     "StepSizeError",
     "UnsupportedConfigError",
-    "advance",
     "analytic_no_shock_term",
     "analytic_reliability",
-    "apply_jump",
     "apply_sweep_value",
-    "arrivals_in_step",
-    "classify",
-    "draw_shock",
     "estimate_reliability",
     "facilitation_pmf",
     "facilitation_total_mass",
@@ -102,18 +78,14 @@ __all__ = [
     "gamma_pdf",
     "iid_sum_normal",
     "integrate",
-    "intensity",
     "normal_cdf",
     "normal_pdf",
     "poisson_counts",
     "replication_stream",
     "run_replications",
-    "sample_gamma_increment",
     "simulate_paths",
     "simulate_replication",
     "step_count",
     "sweep",
-    "total",
-    "trigger_rate_change",
     "wilson_interval",
 ]

@@ -37,6 +37,7 @@ def _write_lines(path: str, lines: list[str]) -> None:
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     run = cfg.run
+    model = cfg.model
     if args.seed is not None:
         if args.seed < 0:
             raise ConfigError("--seed must be >= 0")
@@ -48,13 +49,11 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     if args.dt is not None:
         if args.dt <= 0.0:
             raise ConfigError("--dt must be > 0")
-        run = replace(run, dt=args.dt)
-    if args.threads < 1:
-        raise ConfigError("--threads must be >= 1")
+        model = replace(model, numerics=replace(model.numerics, dt=args.dt))
     out = cfg.output
     if args.out is not None:
         out = replace(out, path=args.out)
-    return replace(cfg, run=run, output=out)
+    return replace(cfg, model=model, run=run, output=out)
 
 
 def _load(args) -> RunConfig:
@@ -82,7 +81,6 @@ def cmd_curve(args) -> int:
         return 0
     curve = estimate_reliability(
         cfg.model, cfg.run.grid.times(), cfg.run.n_reps, cfg.run.master_seed,
-        dt=cfg.run.dt, threads=args.threads,
     )
     _write_lines(cfg.output.path, _curve_lines(curve))
     print(f"wrote {cfg.output.path}: {curve.grid.size} grid points, {curve.n_reps} replications")
@@ -101,8 +99,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep needs at least one value")
     try:
         curves = sweep(cfg.model, args.parameter, values, cfg.run.grid.times(),
-                       cfg.run.n_reps, cfg.run.master_seed, dt=cfg.run.dt,
-                       threads=args.threads)
+                       cfg.run.n_reps, cfg.run.master_seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     lines = ["param_value,t,R_hat,ci_low,ci_high"]
@@ -121,7 +118,7 @@ def cmd_validate(args) -> int:
     cfg = _load(args)
     if args.print_config:
         return 0
-    times = [t for t in (1.0, 2.0, 4.0, 8.0) if t <= cfg.run.horizon]
+    times = [t for t in (1.0, 2.0, 4.0, 8.0) if t <= cfg.model.numerics.horizon]
     if args.times:
         try:
             times = [float(v) for v in args.times.split(",")]
@@ -132,8 +129,7 @@ def cmd_validate(args) -> int:
         analytic = [analytic_reliability(cfg.model, t) for t in grid]
     except UnsupportedConfigError as exc:
         raise ConfigError(str(exc)) from exc
-    curve = estimate_reliability(cfg.model, grid, cfg.run.n_reps, cfg.run.master_seed,
-                                 dt=cfg.run.dt, threads=args.threads)
+    curve = estimate_reliability(cfg.model, grid, cfg.run.n_reps, cfg.run.master_seed)
     ok = True
     max_dev = 0.0
     for i, t in enumerate(grid):
@@ -158,8 +154,8 @@ def cmd_paths(args) -> int:
         raise ConfigError("k must be >= 1")
     if args.stride < 1:
         raise ConfigError("--stride must be >= 1")
-    outcomes = simulate_paths(cfg.model, cfg.run.horizon, cfg.run.dt,
-                              cfg.run.master_seed, args.k)
+    num = cfg.model.numerics
+    outcomes = simulate_paths(cfg.model, num.horizon, num.dt, cfg.run.master_seed, args.k)
     lines = ["rep,t,pure,jumps,total,n_shocks,rate_changed"]
     for rep, outcome in enumerate(outcomes):
         trace = outcome.trace
@@ -182,8 +178,6 @@ def _common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=None, help="override run.master_seed")
     sub.add_argument("--reps", type=int, default=None, help="override run.n_reps")
     sub.add_argument("--dt", type=float, default=None, help="override run.dt")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="worker threads; never changes results")
     sub.add_argument("--out", default=None, help="override output.path")
     sub.add_argument("--print-config", action="store_true",
                      help="echo the normalized config as JSON and exit")

@@ -3,14 +3,17 @@
 The model block carries one key per physical quantity (H, D1, D0, alpha1,
 alpha2, beta, lambda0, eta, gamma, W, Y, optionally theta); the run block
 holds replication count, master seed, evaluation grid, dt and horizon.
-Validation errors name the offending field.
+Validation errors name the offending field. Range rules on model values live
+in the model dataclasses; this module checks types and presence, the run and
+output blocks, and names the config key when a dataclass rejects a value.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -19,6 +22,24 @@ from .errors import ConfigError
 from .kernel import GammaLaw, NormalLaw
 from .shocks import ShockParams
 from .simulate import ModelParams, Numerics
+
+# JSON model key -> (ModelParams section, dataclass field, law class for object
+# values or None for numbers), in the order the normalized config writes them.
+MODEL_KEYS = {
+    "H": ("degradation", "soft_threshold", None),
+    "D1": ("shock", "hard_threshold", None),
+    "D0": ("shock", "damage_threshold", None),
+    "alpha1": ("degradation", "alpha1", None),
+    "alpha2": ("degradation", "alpha2", None),
+    "beta": ("degradation", "beta", None),
+    "lambda0": ("shock", "lambda0", None),
+    "eta": ("shock", "eta", None),
+    "gamma": ("shock", "gamma_dep", None),
+    "W": ("shock", "magnitude_law", NormalLaw),
+    "Y": ("degradation", "jump_law", NormalLaw),
+    "theta": ("degradation", "theta_law", GammaLaw),  # optional; absent means theta = 1
+}
+_KEY_OF_FIELD = {name: key for key, (_, name, _) in MODEL_KEYS.items()}
 
 
 @dataclass(frozen=True)
@@ -36,8 +57,6 @@ class RunSettings:
     n_reps: int
     master_seed: int
     grid: GridSpec
-    dt: float
-    horizon: float
 
 
 @dataclass(frozen=True)
@@ -81,17 +100,26 @@ def _integer(d: dict, path: str, key: str) -> int:
     return v
 
 
-def _law(d: dict, path: str, key: str) -> NormalLaw:
+def _law(d: dict, path: str, key: str, law: type):
     if key not in d:
         raise ConfigError(f"missing field {path}.{key}")
     sub = d[key]
+    names = [f.name for f in fields(law)]
     if not isinstance(sub, dict):
-        raise ConfigError(f"{path}.{key}: expected an object with mean/stdev")
-    mean = _number(sub, f"{path}.{key}", "mean")
-    stdev = _number(sub, f"{path}.{key}", "stdev")
-    if stdev <= 0.0:
-        raise ConfigError(f"{path}.{key}.stdev must be > 0, got {stdev}")
-    return NormalLaw(mean, stdev)
+        raise ConfigError(f"{path}.{key}: expected an object with {'/'.join(names)}")
+    values = [_number(sub, f"{path}.{key}", name) for name in names]
+    try:
+        return law(*values)
+    except ValueError as exc:
+        raise ConfigError(f"{path}.{key}: {exc}") from exc
+
+
+def _config_names(message: str) -> str:
+    """Rewrite dataclass field names in a validation message
+    (``ShockParams.damage_threshold``) as config paths (``model.D0``)."""
+    def key(m):
+        return f"model.{_KEY_OF_FIELD[m[1]]}" if m[1] in _KEY_OF_FIELD else m[0]
+    return re.sub(r"\b[A-Z]\w*\.(\w+)", key, message)
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -101,39 +129,17 @@ def parse_config(doc: dict) -> RunConfig:
     run = _section(doc, "run")
     output = _section(doc, "output")
 
-    h = _number(model, "model", "H")
-    d1 = _number(model, "model", "D1")
-    d0 = _number(model, "model", "D0")
-    alpha1 = _number(model, "model", "alpha1")
-    alpha2 = _number(model, "model", "alpha2")
-    beta = _number(model, "model", "beta")
-    lambda0 = _number(model, "model", "lambda0")
-    eta = _number(model, "model", "eta")
-    gamma = _number(model, "model", "gamma")
-    w_law = _law(model, "model", "W")
-    y_law = _law(model, "model", "Y")
-    theta_law = None
-    if model.get("theta") is not None:
-        sub = model["theta"]
-        if not isinstance(sub, dict):
-            raise ConfigError("model.theta: expected an object with shape/rate")
-        shape = _number(sub, "model.theta", "shape")
-        rate = _number(sub, "model.theta", "rate")
-        if shape <= 0.0 or rate <= 0.0:
-            raise ConfigError("model.theta shape and rate must be > 0")
-        theta_law = GammaLaw(shape, rate)
-
-    for name, v in (("H", h), ("alpha1", alpha1), ("alpha2", alpha2), ("beta", beta)):
-        if v <= 0.0:
-            raise ConfigError(f"model.{name} must be > 0, got {v}")
-    if lambda0 < 0.0:
-        raise ConfigError(f"model.lambda0 must be >= 0, got {lambda0}")
-    if gamma < 0.0:
-        raise ConfigError(f"model.gamma must be >= 0, got {gamma}")
-    if eta <= 0.0:
-        raise ConfigError(f"model.eta must be > 0, got {eta}")
-    if d0 > d1:
-        raise ConfigError(f"model.D0 ({d0}) must not exceed model.D1 ({d1})")
+    kwargs: dict[str, dict] = {"degradation": {}, "shock": {}}
+    for key, (section, name, law) in MODEL_KEYS.items():
+        if law is None:
+            kwargs[section][name] = _number(model, "model", key)
+        elif key != "theta" or model.get(key) is not None:
+            kwargs[section][name] = _law(model, "model", key, law)
+    try:
+        degradation = DegradationParams(**kwargs["degradation"])
+        shock = ShockParams(**kwargs["shock"])
+    except ValueError as exc:
+        raise ConfigError(_config_names(str(exc))) from exc
 
     n_reps = _integer(run, "run", "n_reps")
     if n_reps < 1:
@@ -168,19 +174,11 @@ def parse_config(doc: dict) -> RunConfig:
     if out_format != "csv":
         raise ConfigError(f"output.format: only 'csv' is supported, got {out_format!r}")
 
-    degradation = DegradationParams(
-        alpha1=alpha1, alpha2=alpha2, beta=beta,
-        jump_law=y_law, soft_threshold=h, theta_law=theta_law,
-    )
-    shock = ShockParams(
-        lambda0=lambda0, gamma_dep=gamma, eta=eta,
-        magnitude_law=w_law, damage_threshold=d0, hard_threshold=d1,
-    )
     numerics = Numerics(dt=dt, horizon=horizon)
     return RunConfig(
         model=ModelParams(degradation=degradation, shock=shock, numerics=numerics),
         run=RunSettings(n_reps=n_reps, master_seed=master_seed,
-                        grid=GridSpec(start, stop, points), dt=dt, horizon=horizon),
+                        grid=GridSpec(start, stop, points)),
         output=OutputSettings(path=out_path, format=out_format),
     )
 
@@ -197,23 +195,14 @@ def load_config(path: str) -> RunConfig:
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    deg = cfg.model.degradation
-    shk = cfg.model.shock
-    model = {
-        "H": deg.soft_threshold,
-        "D1": shk.hard_threshold,
-        "D0": shk.damage_threshold,
-        "alpha1": deg.alpha1,
-        "alpha2": deg.alpha2,
-        "beta": deg.beta,
-        "lambda0": shk.lambda0,
-        "eta": shk.eta,
-        "gamma": shk.gamma_dep,
-        "W": {"mean": shk.magnitude_law.mean, "stdev": shk.magnitude_law.stdev},
-        "Y": {"mean": deg.jump_law.mean, "stdev": deg.jump_law.stdev},
-    }
-    if deg.theta_law is not None:
-        model["theta"] = {"shape": deg.theta_law.shape, "rate": deg.theta_law.rate}
+    model = {}
+    for key, (section, name, law) in MODEL_KEYS.items():
+        value = getattr(getattr(cfg.model, section), name)
+        if law is None:
+            model[key] = value
+        elif value is not None:
+            model[key] = asdict(value)
+    num = cfg.model.numerics
     return {
         "model": model,
         "run": {
@@ -221,8 +210,8 @@ def config_to_dict(cfg: RunConfig) -> dict:
             "master_seed": cfg.run.master_seed,
             "grid": {"start": cfg.run.grid.start, "stop": cfg.run.grid.stop,
                      "points": cfg.run.grid.points},
-            "dt": cfg.run.dt,
-            "horizon": cfg.run.horizon,
+            "dt": num.dt,
+            "horizon": num.horizon,
         },
         "output": {"path": cfg.output.path, "format": cfg.output.format},
     }

@@ -1,17 +1,18 @@
 """Cumulative wear: a monotone gamma path plus shock-induced jumps.
 
 The gamma path runs at shape rate alpha1 per unit time until the first
-damaging shock, alpha2 afterwards. Total wear is pure path + jump sum.
+damaging shock, alpha2 afterwards. Total wear is pure path + jump sum; the
+engine in ``simulate`` advances it.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import GammaLaw, NormalLaw, sample_gamma_increment
+from .kernel import GammaLaw, NormalLaw
 
 
 @dataclass(frozen=True)
@@ -34,43 +35,3 @@ class DegradationParams:
                 "a damaging shock, which is unusual for wear-out",
                 stacklevel=2,
             )
-
-
-@dataclass(frozen=True)
-class DegradationState:
-    clock: float = 0.0
-    pure_path: float = 0.0
-    jump_sum: float = 0.0
-    rate_changed: bool = False
-    rate_change_time: float | None = None
-
-
-def advance(state: DegradationState, dt: float, params: DegradationParams,
-            theta: float, rng: np.random.Generator) -> DegradationState:
-    """Grow the pure path by one gamma increment over dt at the current phase rate."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    alpha = params.alpha2 if state.rate_changed else params.alpha1
-    law = GammaLaw(theta * alpha * dt, params.beta)
-    inc = sample_gamma_increment(law, rng)
-    return replace(state, clock=state.clock + dt, pure_path=state.pure_path + inc)
-
-
-def apply_jump(state: DegradationState, y: float) -> DegradationState:
-    """Add a shock jump to the wear total. Negative draws are clamped to zero
-    so the total stays monotone; with jump laws well away from zero the clamp
-    is effectively never active."""
-    if y <= 0.0:
-        return state
-    return replace(state, jump_sum=state.jump_sum + y)
-
-
-def trigger_rate_change(state: DegradationState, at: float) -> DegradationState:
-    """Switch the shape rate permanently; only the first call has any effect."""
-    if state.rate_changed:
-        return state
-    return replace(state, rate_changed=True, rate_change_time=at)
-
-
-def total(state: DegradationState) -> float:
-    return state.pure_path + state.jump_sum

@@ -1,15 +1,11 @@
-"""Distribution laws, special-function evaluations and samplers.
-
-Everything here is pure given its inputs; random draws consume only the
-generator passed in, so callers own reproducibility.
-"""
+"""Distribution laws and special-function evaluations; everything here is
+pure given its inputs."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy import special
 
 
@@ -128,11 +124,6 @@ def facilitation_total_mass(eta: float, big_lambda: float, tail_tol: float = 1e-
         if total >= 1.0 - tail_tol and p < 1e-14:
             return total, m + 1
     return total, max_terms
-
-
-def sample_gamma_increment(law: GammaLaw, rng: np.random.Generator) -> float:
-    """One draw from ``law``; valid for arbitrarily small shapes."""
-    return float(rng.gamma(law.shape, 1.0 / law.rate))
 
 
 def iid_sum_normal(m: int, law: NormalLaw) -> NormalLaw:

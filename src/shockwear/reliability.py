@@ -8,6 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import MODEL_KEYS
 from .errors import UnsupportedConfigError
 from .kernel import (
     GammaLaw,
@@ -21,6 +22,12 @@ from .quadrature import integrate
 from .simulate import ModelParams, run_replications
 
 _Z95 = 1.959963984540054
+_PMF_TAIL_TOL = 1e-10  # truncation of the count-law sum in the analytic path
+_QUAD_TOL = 1e-9       # absolute tolerance per damage-convolution integral
+# The engine clamps negative jumps to 0 and the oracle convolves unclamped
+# normal sums; their curves differ by at most E[N(t)] * P(Y < 0), so the oracle
+# accepts a jump law only while P(Y < 0) is far below any Monte Carlo error.
+_MAX_NEGATIVE_JUMP_P = 1e-6
 
 SWEEPABLE = ("D0", "gamma", "eta", "lambda0", "alpha2", "H", "D1")
 
@@ -61,17 +68,14 @@ def _check_grid(grid: np.ndarray, horizon: float) -> np.ndarray:
     return grid
 
 
-def estimate_reliability(params: ModelParams, grid, n_reps: int, master_seed: int,
-                         *, dt: float | None = None, threads: int = 1,
-                         batch_size: int = 16384) -> ReliabilityCurve:
+def estimate_reliability(params: ModelParams, grid, n_reps: int,
+                         master_seed: int) -> ReliabilityCurve:
     """Monte Carlo survival curve from one replication set evaluated at every
-    grid time, which keeps the curve exactly nonincreasing."""
-    horizon = params.numerics.horizon
-    grid = _check_grid(grid, horizon)
-    if dt is None:
-        dt = params.numerics.dt
-    ftime, mode = run_replications(params, horizon, dt, master_seed, n_reps,
-                                   threads=threads, batch_size=batch_size)
+    grid time, which keeps the curve exactly nonincreasing. Step size and
+    horizon come from ``params.numerics``."""
+    num = params.numerics
+    grid = _check_grid(grid, num.horizon)
+    ftime, mode = run_replications(params, num.horizon, num.dt, master_seed, n_reps)
     surv = np.empty(grid.size, dtype=np.int64)
     soft = np.empty(grid.size, dtype=np.int64)
     hard = np.empty(grid.size, dtype=np.int64)
@@ -110,6 +114,14 @@ def _require_decoupled(params: ModelParams) -> None:
     if deg.theta_law is not None:
         raise UnsupportedConfigError("analytic reliability requires a fixed shape-rate "
                                      "multiplier (theta_law must be None)")
+    p_negative = normal_cdf(0.0, deg.jump_law)
+    if p_negative > _MAX_NEGATIVE_JUMP_P:
+        raise UnsupportedConfigError(
+            "analytic reliability requires jumps Y that are almost surely positive: "
+            f"P(Y < 0) = {p_negative:.3g} exceeds {_MAX_NEGATIVE_JUMP_P:g} (got Y = "
+            f"N({deg.jump_law.mean}, {deg.jump_law.stdev}^2)); the engine clamps "
+            "negative jumps to 0 and the oracle does not"
+        )
 
 
 def analytic_reliability(params: ModelParams, t: float, m_max: int | None = None) -> float:
@@ -128,7 +140,6 @@ def analytic_reliability(params: ModelParams, t: float, m_max: int | None = None
         return 1.0
     deg = params.degradation
     shk = params.shock
-    num = params.numerics
     big_lambda = shk.lambda0 * t
     f_w = normal_cdf(shk.hard_threshold, shk.magnitude_law)
     glaw = GammaLaw(deg.alpha1 * t, deg.beta)
@@ -152,13 +163,13 @@ def analytic_reliability(params: ModelParams, t: float, m_max: int | None = None
             else:
                 wear_ok = integrate(
                     lambda y: gamma_cdf(h - y, glaw) * normal_pdf(y, ylaw),
-                    lo, hi, tol=num.quad_tol,
+                    lo, hi, tol=_QUAD_TOL,
                 )
             tiny_run = tiny_run + 1 if wear_ok < 1e-13 else 0
         total += (f_w**m) * p_m * wear_ok
         cum_pmf += p_m
         m += 1
-        if 1.0 - cum_pmf < num.pmf_tail_tol:
+        if 1.0 - cum_pmf < _PMF_TAIL_TOL:
             break
         if tiny_run >= 2:
             break  # extra jumps only push wear further past the threshold
@@ -186,25 +197,14 @@ def analytic_no_shock_term(params: ModelParams, t: float) -> float:
 
 
 def apply_sweep_value(params: ModelParams, parameter: str, value: float) -> ModelParams:
-    if parameter == "D0":
-        return replace(params, shock=replace(params.shock, damage_threshold=value))
-    if parameter == "gamma":
-        return replace(params, shock=replace(params.shock, gamma_dep=value))
-    if parameter == "eta":
-        return replace(params, shock=replace(params.shock, eta=value))
-    if parameter == "lambda0":
-        return replace(params, shock=replace(params.shock, lambda0=value))
-    if parameter == "alpha2":
-        return replace(params, degradation=replace(params.degradation, alpha2=value))
-    if parameter == "H":
-        return replace(params, degradation=replace(params.degradation, soft_threshold=value))
-    if parameter == "D1":
-        return replace(params, shock=replace(params.shock, hard_threshold=value))
-    raise ValueError(f"unknown sweep parameter {parameter!r}; accepted: {', '.join(SWEEPABLE)}")
+    if parameter not in SWEEPABLE:
+        raise ValueError(f"unknown sweep parameter {parameter!r}; accepted: {', '.join(SWEEPABLE)}")
+    section, name, _ = MODEL_KEYS[parameter]
+    return replace(params, **{section: replace(getattr(params, section), **{name: value})})
 
 
-def sweep(base: ModelParams, parameter: str, values, grid, n_reps: int, master_seed: int,
-          *, dt: float | None = None, threads: int = 1) -> list[tuple[float, ReliabilityCurve]]:
+def sweep(base: ModelParams, parameter: str, values, grid, n_reps: int,
+          master_seed: int) -> list[tuple[float, ReliabilityCurve]]:
     """One curve per value, all run from the same master seed so every
     replication sees identical randomness across values (common random
     numbers); orderings along the sweep then reflect the parameter alone."""
@@ -214,6 +214,5 @@ def sweep(base: ModelParams, parameter: str, values, grid, n_reps: int, master_s
     out = []
     for v in values:
         p = apply_sweep_value(base, parameter, v)
-        out.append((v, estimate_reliability(p, grid, n_reps, master_seed,
-                                            dt=dt, threads=threads)))
+        out.append((v, estimate_reliability(p, grid, n_reps, master_seed)))
     return out

@@ -4,24 +4,20 @@ The arrival intensity after n shocks at total wear x is
 (1 + eta*n) * (lambda0 + gamma_dep*x): past shocks facilitate new ones and
 accumulated wear raises the base rate. A shock is fatal above the hard
 threshold, damaging between the damage and hard thresholds (it then switches
-the wear rate), benign otherwise.
+the wear rate), benign otherwise. The engine in ``simulate`` applies these
+rules; this module holds their parameters and the arrival-count sampler.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
-from .errors import StepSizeError
 from .kernel import NormalLaw
 
 # Frozen-intensity steps stay accurate only while an arrival per step is rare.
 MAX_RATE_DT = 0.1
-
-ShockKind = Literal["benign", "damaging", "fatal"]
 
 
 @dataclass(frozen=True)
@@ -45,32 +41,8 @@ class ShockParams:
         if self.damage_threshold > self.hard_threshold:
             raise ValueError(
                 f"ShockParams.damage_threshold ({self.damage_threshold}) must not exceed "
-                f"hard_threshold ({self.hard_threshold})"
+                f"ShockParams.hard_threshold ({self.hard_threshold})"
             )
-
-
-@dataclass(frozen=True)
-class ShockEvent:
-    time: float
-    magnitude: float
-    kind: ShockKind
-
-
-def classify(magnitude: float, params: ShockParams) -> ShockKind:
-    if magnitude > params.hard_threshold:
-        return "fatal"
-    if magnitude > params.damage_threshold:
-        return "damaging"
-    return "benign"
-
-
-def intensity(n_shocks: int, x_total: float, params: ShockParams) -> float:
-    """Arrival intensity given the shock count so far and current total wear."""
-    if n_shocks < 0:
-        raise ValueError(f"n_shocks must be >= 0, got {n_shocks}")
-    if x_total < 0.0:
-        raise ValueError(f"x_total must be >= 0, got {x_total}")
-    return (1.0 + params.eta * n_shocks) * (params.lambda0 + params.gamma_dep * x_total)
 
 
 def poisson_counts(mu: np.ndarray, u: np.ndarray, max_count: int = 200) -> np.ndarray:
@@ -105,25 +77,3 @@ def poisson_counts(mu: np.ndarray, u: np.ndarray, max_count: int = 200) -> np.nd
         pending = u_c >= cdf
     counts[idx] = c
     return counts
-
-
-def arrivals_in_step(rate: float, dt: float, rng: np.random.Generator) -> int:
-    """Number of arrivals in one step with the intensity frozen at step start."""
-    if rate < 0.0 or not math.isfinite(rate):
-        raise ValueError(f"rate must be finite and >= 0, got {rate}")
-    if dt <= 0.0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    if rate * dt > MAX_RATE_DT:
-        raise StepSizeError(
-            f"rate*dt = {rate * dt:.4g} exceeds {MAX_RATE_DT}; "
-            f"use dt <= {MAX_RATE_DT / rate:.4g}",
-            suggested_dt=MAX_RATE_DT / rate,
-        )
-    mu = np.array([rate * dt])
-    u = np.array([rng.random()])
-    return int(poisson_counts(mu, u)[0])
-
-
-def draw_shock(t: float, params: ShockParams, rng: np.random.Generator) -> ShockEvent:
-    mag = float(rng.normal(params.magnitude_law.mean, params.magnitude_law.stdev))
-    return ShockEvent(time=t, magnitude=mag, kind=classify(mag, params))

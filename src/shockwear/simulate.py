@@ -30,7 +30,6 @@ identical randomness even when their parameters differ.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -50,10 +49,10 @@ _STATUS = {0: "survived", 1: "soft_failed", 2: "hard_failed"}
 
 @dataclass(frozen=True)
 class Numerics:
+    """Step size and horizon of a run: the one place both are set."""
+
     dt: float = 0.01
     horizon: float = 20.0
-    pmf_tail_tol: float = 1e-10   # truncation of the count-law sum in the analytic path
-    quad_tol: float = 1e-9        # absolute tolerance per damage-convolution integral
 
     def __post_init__(self):
         if not (np.isfinite(self.dt) and self.dt > 0.0):
@@ -279,31 +278,20 @@ def simulate_paths(params: ModelParams, horizon: float, dt: float,
 
 
 def run_replications(params: ModelParams, horizon: float, dt: float, master_seed: int,
-                     n_reps: int, threads: int = 1,
-                     batch_size: int = 16384) -> tuple[np.ndarray, np.ndarray]:
+                     n_reps: int, batch_size: int = 16384) -> tuple[np.ndarray, np.ndarray]:
     """Failure times and modes for n_reps replications.
 
     Batches are fixed-size slices of the index range and each replication has
-    its own streams, so the result is independent of batch size and threads.
+    its own streams, so the result is independent of batch size.
     Returns (failure_time, mode); survivors carry failure_time = inf, mode 0.
     """
     if n_reps < 1:
         raise ValueError(f"n_reps must be >= 1, got {n_reps}")
     ftime = np.empty(n_reps)
     mode = np.empty(n_reps, dtype=np.int8)
-    spans = [(lo, min(lo + batch_size, n_reps)) for lo in range(0, n_reps, batch_size)]
-
-    def work(span):
-        lo, hi = span
+    for lo in range(0, n_reps, batch_size):
+        hi = min(lo + batch_size, n_reps)
         res = _simulate_batch(params, horizon, dt, master_seed, lo, hi)
         ftime[lo:hi] = res.failure_time
         mode[lo:hi] = res.mode
-
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for f in [pool.submit(work, s) for s in spans]:
-                f.result()
-    else:
-        for s in spans:
-            work(s)
     return ftime, mode

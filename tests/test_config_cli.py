@@ -85,6 +85,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="format"):
             parse_config(valve_doc(**{"output.format": "parquet"}))
 
+    @pytest.mark.parametrize("field, value", [
+        ("model.H", 0.0), ("model.gamma", -0.1), ("model.lambda0", -1.0),
+        ("model.W", {"mean": 10.0, "stdev": 0.0}), ("model.theta", {"shape": 0.0, "rate": 1.0}),
+    ])
+    def test_dataclass_errors_named_by_config_key(self, field, value):
+        # range rules live in the model dataclasses; the error names the key
+        with pytest.raises(ConfigError, match=rf"^{field}\b") as err:
+            parse_config(valve_doc(**{field: value}))
+        assert "Params." not in str(err.value)
+
     def test_theta_block(self):
         cfg = parse_config(valve_doc(**{"model.theta": {"shape": 20.0, "rate": 20.0}}))
         assert cfg.model.degradation.theta_law is not None
@@ -134,13 +144,20 @@ class TestCurveCommand:
                      "--out", str(out)]) == 0
         assert out.read_text().splitlines()[1].split(",")[4] == "100"
 
-    @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_threads_below_one_is_config_error(self, tmp_path, capsys, threads):
-        out = tmp_path / "c.csv"
-        cfg = write_config(tmp_path, valve_doc())
-        assert main(["curve", "--config", cfg, "--threads", threads, "--out", str(out)]) == 2
-        assert "--threads must be >= 1" in capsys.readouterr().err
-        assert not out.exists()
+    def test_dt_override_reaches_engine(self, tmp_path, capsys):
+        outs = [tmp_path / name for name in ("override.csv", "written.csv", "fine.csv")]
+        fine = write_config(tmp_path, valve_doc(**{"run.n_reps": 500}), "fine.json")
+        coarse = write_config(tmp_path, valve_doc(**{"run.n_reps": 500, "run.dt": 0.05}),
+                              "coarse.json")
+        assert main(["curve", "--config", fine, "--dt", "0.05", "--out", str(outs[0])]) == 0
+        assert main(["curve", "--config", coarse, "--out", str(outs[1])]) == 0
+        assert main(["curve", "--config", fine, "--out", str(outs[2])]) == 0
+        override, written, unchanged = (o.read_bytes() for o in outs)
+        assert override == written
+        assert override != unchanged
+        capsys.readouterr()
+        assert main(["curve", "--config", fine, "--dt", "0.05", "--print-config"]) == 0
+        assert json.loads(capsys.readouterr().out)["run"]["dt"] == 0.05
 
     def test_print_config_roundtrip(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, valve_doc())
@@ -202,6 +219,14 @@ class TestValidateCommand:
         cfg = write_config(tmp_path, self.decoupled_doc(**{"model.gamma": 0.001}))
         assert main(["validate", "--config", cfg]) == 2
         assert "gamma_dep" in capsys.readouterr().err
+
+    def test_jump_law_with_negative_mass_refused(self, tmp_path, capsys):
+        # the engine clamps negative jumps to 0 and the oracle does not: at
+        # Y = N(0, 0.5) they differ by 0.43 at t=2, so validate must not compare
+        doc = self.decoupled_doc(**{"model.lambda0": 1.0,
+                                    "model.Y": {"mean": 0.0, "stdev": 0.5}})
+        assert main(["validate", "--config", write_config(tmp_path, doc)]) == 2
+        assert "P(Y < 0)" in capsys.readouterr().err
 
 
 class TestPathsCommand:

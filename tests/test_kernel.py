@@ -14,7 +14,6 @@ from shockwear import (
     integrate,
     normal_cdf,
     normal_pdf,
-    sample_gamma_increment,
 )
 
 
@@ -178,17 +177,6 @@ class TestGammaSampler:
         kurt_excess = 6.0 / shape
         se_var = law.variance * math.sqrt((2.0 + kurt_excess) / n)
         assert abs(draws.var() - law.variance) < 4 * se_var
-
-    def test_deterministic_given_seed(self):
-        law = GammaLaw(0.7, 1.3)
-        a = [sample_gamma_increment(law, np.random.default_rng(99)) for _ in range(1)]
-        b = [sample_gamma_increment(law, np.random.default_rng(99)) for _ in range(1)]
-        assert a == b
-        rng1 = np.random.default_rng(5)
-        rng2 = np.random.default_rng(5)
-        seq1 = [sample_gamma_increment(law, rng1) for _ in range(20)]
-        seq2 = [sample_gamma_increment(law, rng2) for _ in range(20)]
-        assert seq1 == seq2
 
 
 class TestIidSumNormal:

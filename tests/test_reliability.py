@@ -5,6 +5,7 @@ import pytest
 
 from shockwear import (
     GammaLaw,
+    NormalLaw,
     UnsupportedConfigError,
     analytic_no_shock_term,
     analytic_reliability,
@@ -118,6 +119,15 @@ class TestAnalytic:
         p = decoupled(theta_law=GammaLaw(10.0, 10.0))
         with pytest.raises(UnsupportedConfigError, match="theta"):
             analytic_reliability(p, 4.0)
+
+    def test_refuses_jump_law_with_negative_mass(self):
+        # Y = N(0, 0.5): the engine clamps half the jumps to 0, the oracle
+        # convolves them unclamped (R(2) 0.564 against Monte Carlo 0.992)
+        p = decoupled(lambda0=1.0, Y=NormalLaw(0.0, 0.5))
+        with pytest.raises(UnsupportedConfigError, match=r"P\(Y < 0\)"):
+            analytic_reliability(p, 2.0)
+        # the paper's N(0.5, 0.1) has P(Y < 0) = 2.9e-7 and stays accepted
+        assert 0.0 < analytic_reliability(decoupled(lambda0=1.0), 2.0) <= 1.0
 
     def test_rate_change_disabled_via_equal_alphas_is_accepted(self):
         p = make_params(gamma=0.0, D0=30.0, D1=40.0, alpha2=0.5)

@@ -1,3 +1,6 @@
+"""Shock parameters, the arrival-count sampler, and the engine's arrival
+guard and magnitude classification."""
+
 import math
 
 import numpy as np
@@ -8,13 +11,12 @@ from shockwear import (
     NormalLaw,
     ShockParams,
     StepSizeError,
-    arrivals_in_step,
-    classify,
-    draw_shock,
-    intensity,
     normal_cdf,
     poisson_counts,
+    run_replications,
 )
+from shockwear.simulate import _simulate_batch
+from tests.conftest import make_params
 
 
 def valve_shock(**kw):
@@ -26,25 +28,6 @@ def valve_shock(**kw):
 
 
 class TestIntensity:
-    def test_fresh_system(self):
-        assert intensity(0, 0.0, valve_shock()) == pytest.approx(2.5e-5, rel=1e-12)
-
-    def test_two_shocks_some_wear(self):
-        got = intensity(2, 3.0, valve_shock())
-        assert got == pytest.approx(1.4 * (2.5e-5 + 0.003), rel=1e-12)
-        assert got == pytest.approx(0.004235, rel=1e-9)
-
-    def test_facilitation_only(self):
-        p = valve_shock(gamma_dep=0.0)
-        assert intensity(5, 7.0, p) == pytest.approx(2.0 * p.lambda0, rel=1e-12)
-
-    def test_monotone_in_count_and_wear(self):
-        p = valve_shock()
-        vals = [intensity(n, 0.5, p) for n in range(6)]
-        assert all(b > a for a, b in zip(vals, vals[1:]))
-        vals = [intensity(2, x, p) for x in np.linspace(0.0, 5.0, 11)]
-        assert all(b > a for a, b in zip(vals, vals[1:]))
-
     def test_invariants_validated(self):
         with pytest.raises(ValueError):
             ShockParams(lambda0=0.1, gamma_dep=0.0, eta=0.2,
@@ -58,12 +41,15 @@ class TestIntensity:
 
 class TestArrivals:
     def test_zero_rate(self):
-        rng = np.random.default_rng(1)
-        assert all(arrivals_in_step(0.0, 0.01, rng) == 0 for _ in range(1000))
+        res = _simulate_batch(make_params(lambda0=0.0, gamma=0.0, horizon=5.0), 5.0, 0.01, 1, 0, 1000)
+        assert not res.n_shocks.any()
 
     def test_step_guard(self):
+        # a fresh system runs at intensity lambda0 = 20, so 20*0.01 trips the
+        # guard on the first step, which names dt <= MAX_RATE_DT/20
+        p = make_params(lambda0=20.0, gamma=0.0, horizon=1.0)
         with pytest.raises(StepSizeError) as err:
-            arrivals_in_step(20.0, 0.01, np.random.default_rng(0))
+            run_replications(p, 1.0, 0.01, 3, 10)
         assert err.value.suggested_dt == pytest.approx(MAX_RATE_DT / 20.0)
         assert "dt" in str(err.value)
 
@@ -75,11 +61,6 @@ class TestArrivals:
         se = math.sqrt(mu / n)
         assert abs(counts.mean() - mu) < 3 * se
 
-    def test_deterministic(self):
-        a = [arrivals_in_step(5.0, 0.01, np.random.default_rng(3)) for _ in range(5)]
-        b = [arrivals_in_step(5.0, 0.01, np.random.default_rng(3)) for _ in range(5)]
-        assert a == b
-
     def test_inversion_monotone_in_rate(self):
         # common-random-number coupling: same uniform, higher mean, never fewer arrivals
         u = np.random.default_rng(9).random(50_000)
@@ -88,27 +69,40 @@ class TestArrivals:
         assert np.all(hi >= lo)
 
 
+def classified(w_mean, w_sd=1e-300, n=400):
+    """Engine outcome with shock magnitudes drawn from N(w_mean, w_sd^2); the
+    default stdev is below the float spacing at these thresholds, so every
+    magnitude then equals w_mean exactly."""
+    p = make_params(lambda0=0.5, gamma=0.0, H=1e12, D0=30.0, D1=40.0,
+                    W=NormalLaw(w_mean, w_sd), horizon=4.0)
+    res = _simulate_batch(p, 4.0, 0.01, 12, 0, n)
+    assert res.n_shocks.any()
+    return res
+
+
 class TestClassification:
     def test_fatal_above_hard_threshold(self):
-        assert classify(45.0, valve_shock()) == "fatal"
+        # the first shock kills, before it can switch the wear rate
+        res = classified(60.0, 1.0)
+        hard = res.mode == 2
+        assert np.array_equal(hard, res.n_shocks > 0)
+        assert np.all(res.n_shocks[hard] == 1)
+        assert np.all(np.isnan(res.rate_change_time))
 
     def test_damaging_between_thresholds(self):
-        assert classify(35.0, valve_shock()) == "damaging"
+        # never fatal; the first shock switches the wear rate
+        res = classified(35.0, 0.5)
+        assert not np.any(res.mode == 2)
+        assert np.array_equal(~np.isnan(res.rate_change_time), res.n_shocks > 0)
 
     def test_boundaries(self):
-        p = valve_shock()
-        assert classify(30.0, p) == "benign"       # at D0 exactly: no damage
-        assert classify(40.0, p) == "damaging"     # at D1 exactly: not fatal
-        assert classify(-3.0, p) == "benign"       # negative magnitudes are legal
-
-    def test_draw_shock_consistent(self):
-        p = valve_shock()
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            ev = rng.integers(0, 1)  # keep rng moving
-            shock = draw_shock(1.5, p, rng)
-            assert shock.time == 1.5
-            assert shock.kind == classify(shock.magnitude, p)
+        at_d0 = classified(30.0)      # at D0 exactly: no damage
+        assert np.all(np.isnan(at_d0.rate_change_time)) and not np.any(at_d0.mode == 2)
+        at_d1 = classified(40.0)      # at D1 exactly: damaging, not fatal
+        assert not np.any(at_d1.mode == 2)
+        assert np.array_equal(~np.isnan(at_d1.rate_change_time), at_d1.n_shocks > 0)
+        negative = classified(-3.0)   # negative magnitudes are legal and benign
+        assert np.all(np.isnan(negative.rate_change_time)) and not np.any(negative.mode == 2)
 
     def test_damaging_fraction(self):
         # P(30 < W <= 40) for W ~ N(10, 5^2) spans the 4-to-6 sigma band

@@ -44,8 +44,8 @@ class TestBasics:
 
     def test_batch_size_and_threads_invariant(self):
         p = make_params(horizon=10.0)
-        f1, m1 = run_replications(p, 10.0, 0.01, 9, 5000, threads=1, batch_size=5000)
-        f2, m2 = run_replications(p, 10.0, 0.01, 9, 5000, threads=4, batch_size=700)
+        f1, m1 = run_replications(p, 10.0, 0.01, 9, 5000, batch_size=5000)
+        f2, m2 = run_replications(p, 10.0, 0.01, 9, 5000, batch_size=700)
         assert np.array_equal(f1, f2)
         assert np.array_equal(m1, m2)
 
