@@ -9,8 +9,15 @@ class StepSizeError(RuntimeError):
     """Raised when the shock intensity is too high for the chosen time step.
 
     Carries ``suggested_dt``, an upper bound on dt that would satisfy the guard
-    for the intensity observed when the error was raised.
+    for the intensity observed when the error was raised. When the engine
+    raises it, ``time`` is the end-of-step clock of the failing batch's first
+    step that broke the guard and ``rep_index`` the replication with the
+    largest intensity at that step, so ``simulate_replication(..., rep_index=err.rep_index)``
+    raises again at the same ``time`` with the same ``suggested_dt``.
     """
+
+    time = None
+    rep_index = None
 
     def __init__(self, message, suggested_dt=None):
         super().__init__(message)

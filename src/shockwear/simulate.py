@@ -1,12 +1,24 @@
 """Coupled wear/shock replications.
 
-One replication advances wear on a fixed step grid, freezing the shock
-intensity at each step start. Per step: grow the pure gamma path, check soft
-failure (total wear >= threshold), then draw the arrival count from the
-intensity at the current count/wear and process each arrival in order
-(fatal -> hard failure and stop; damaging -> switch the wear rate; every
-non-fatal shock adds a clamped jump), and re-check soft failure after the
-jumps. Failure times are reported at the end-of-step clock.
+A replication follows a fixed step grid with the shock intensity frozen at
+each step. Per step: grow the pure gamma path, check soft failure (total wear
+>= threshold), then draw the arrival count from the intensity at the current
+count/wear and process each arrival in order (fatal -> hard failure and stop;
+damaging -> switch the wear rate; every non-fatal shock adds a clamped jump),
+and re-check soft failure after the jumps. Failure times are reported at the
+end-of-step clock.
+
+The engine applies these rules without visiting every step. It advances each
+replication a chunk of _CHUNK steps at a time: one sequential cumulative sum
+gives the pure path at every step of the chunk, with the rounding of adding
+one increment per step. Between two shocks the total wear and the intensity
+only grow, so whole-block scans find each replication's next event: soft
+failure, a guard violation, or an arrival candidate (u >= exp(-mu) requires
+u + mu >= 1). The per-step rules run only at those steps, and a replication is
+scanned again from the step after each of its events. Replications advance in
+sub-blocks of _ROWS, which bounds the refill buffers. Results are bit-identical
+to visiting every step, and a StepSizeError names the earliest violating step
+of the batch, as a step-by-step pass would.
 
 Stream layout (a compatibility contract: changing it changes every result
 for a given seed):
@@ -31,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Literal
 
 import numpy as np
@@ -42,6 +55,10 @@ from .rng import MARK_STREAM, PATH_STREAM, replication_stream
 from .shocks import MAX_RATE_DT, ShockParams, poisson_counts
 
 _CHUNK = 256  # steps of pre-drawn path randomness per refill; part of the stream contract
+_ROWS = 2048  # rows advanced together; sizes the refill buffers, not part of the stream contract
+# Rounding room of the arrival-candidate test: exp(-mu) near 1 errs by a few
+# ulps of 1 (1.1e-16 each), well inside this.
+_ARRIVAL_SLACK = 2e-15
 
 Status = Literal["soft_failed", "hard_failed", "survived"]
 _STATUS = {0: "survived", 1: "soft_failed", 2: "hard_failed"}
@@ -103,148 +120,306 @@ class BatchResult:
         self.traces = [[(0.0, 0.0, 0.0, 0)] for _ in range(n)] if want_traces else None
 
 
+class _Batch:
+    """Row state, streams and refill buffers of one batch, advanced a chunk at a time.
+
+    Row state is indexed by batch-local replication id. A chunk is advanced in
+    sub-blocks of at most ``_ROWS`` live rows, so the refill buffers are sized
+    by ``_ROWS``, not by the batch.
+    """
+
+    def __init__(self, params: ModelParams, dt: float, n_steps: int, master_seed: int,
+                 rep_lo: int, out: BatchResult):
+        deg = params.degradation
+        shk = params.shock
+        n = out.failure_time.size
+        self.dt = dt
+        self.master_seed = master_seed
+        self.rep_lo = rep_lo
+        self.out = out
+
+        self.path_gens = [replication_stream(master_seed, rep_lo + j, PATH_STREAM)
+                          for j in range(n)]
+        self.mark_gens = [None] * n  # built at a replication's first arrival
+
+        theta = np.ones(n)
+        if deg.theta_law is not None:
+            tl = deg.theta_law
+            for j in range(n):
+                theta[j] = float(gammaincinv(tl.shape, self.path_gens[j].random())) / tl.rate
+
+        self.scale = 1.0 / deg.beta
+        self.shape_pre = theta * (deg.alpha1 * dt)
+        self.d_alpha = deg.alpha2 - deg.alpha1
+        if self.d_alpha > 0.0:
+            self.shape_post = theta * (self.d_alpha * dt)   # additive extra increment
+        elif self.d_alpha < 0.0:
+            self.shape_post = theta * (deg.alpha2 * dt)     # replacement increment (rate decrease)
+        else:
+            self.shape_post = None
+
+        # Normal laws of a shock's (magnitude, jump) pair of mark draws.
+        self.mark_mean = (shk.magnitude_law.mean, deg.jump_law.mean)
+        self.mark_sd = (shk.magnitude_law.stdev, deg.jump_law.stdev)
+        self.lam0, self.gdep, self.eta = shk.lambda0, shk.gamma_dep, shk.eta
+        self.d0, self.d1 = shk.damage_threshold, shk.hard_threshold
+        self.soft_h = deg.soft_threshold
+
+        self.pure = np.zeros(n)
+        self.jumps = np.zeros(n)
+        self.nshk = np.zeros(n, dtype=np.int64)
+        self.changed = np.zeros(n, dtype=bool)
+        self.alive = np.ones(n, dtype=bool)
+
+        rows, cols = min(n, _ROWS), min(n_steps, _CHUNK)
+        self.g1 = np.empty((rows, cols))
+        self.u = np.empty((rows, 2 * cols))
+        self.path = np.empty((rows, cols))
+
+    def advance(self, ids: np.ndarray, k0: int, span: int) -> list[tuple]:
+        """Advance rows ``ids`` (alive, ascending) through steps k0 .. k0+span-1.
+
+        Returns the guard violations met, one ``(column, rate, id)`` per row
+        that stopped at its first step with ``rate*dt > MAX_RATE_DT``.
+        """
+        m = ids.size
+        g1 = self.g1[:m, :span]
+        u = self.u[:m, :2 * span]
+        for i, shape, g1_row, u_row in zip(ids.tolist(), self.shape_pre[ids].tolist(), g1, u):
+            g = self.path_gens[i]
+            g1_row[...] = g.gamma(shape, self.scale, size=span)
+            g.random(out=u_row)
+        u2, upois = u[:, :span], u[:, span:]
+
+        # Pure-wear path of every row at every column of the chunk. Accumulation
+        # is sequential, so each entry is the running sum the step loop forms.
+        path = self.path[:m, :span]
+        np.copyto(path, g1)
+        path[:, 0] += self.pure[ids]
+        np.cumsum(path, axis=1, out=path)
+
+        jumps = self.jumps[ids]
+        nshk = self.nshk[ids]
+        changed = self.changed[ids]
+        alive = np.ones(m, dtype=bool)
+        if self.shape_post is not None and changed.any():
+            rows = np.flatnonzero(changed)
+            self._repath(path, g1, u2, ids, rows, 0, self.pure[ids[rows]])
+
+        want_traces = self.out.traces is not None
+        if want_traces:
+            start = (jumps.tolist(), nshk.tolist())
+            events: dict[int, list] = {}
+            end = np.full(m, span - 1)
+
+        violations = []
+        act = np.arange(m)
+        pos = np.zeros(m, dtype=np.intp)  # first column not yet processed
+        while act.size:
+            e = self._next_event(path, upois, jumps, nshk, act, pos)
+            hit = e < span
+            act, e = act[hit], e[hit]
+            if not act.size:
+                break
+
+            # The per-step rules at each row's event column, in step-loop order:
+            # soft failure, then the guard, then arrivals.
+            total = path[act, e] + jumps[act]
+            rate = self._rate(nshk[act], total)
+            mu = rate * self.dt
+            soft = total >= self.soft_h
+            over = ~soft & (mu > MAX_RATE_DT)
+            running = ~(soft | over)
+            counts = np.zeros(act.size, dtype=np.int64)
+            if running.any():
+                counts[running] = poisson_counts(mu[running], upois[act[running], e[running]])
+            for j in np.flatnonzero(over):
+                violations.append((int(e[j]), rate[j], int(ids[act[j]])))
+
+            failed = soft.copy()
+            hard = np.zeros(act.size, dtype=bool)
+            arrived = np.flatnonzero(counts)
+            if arrived.size:
+                rows, cols = act[arrived], e[arrived]
+                was_changed = changed[rows]
+                ns, jm, ch = nshk[rows].tolist(), jumps[rows].tolist(), was_changed.tolist()
+                hard[arrived] = self._shocks(ids[rows].tolist(), counts[arrived].tolist(),
+                                             (k0 + 1 + cols) * self.dt, ns, jm, ch)
+                nshk[rows], jumps[rows], changed[rows] = ns, jm, ch
+                total[arrived] = path[rows, cols] + jumps[rows]
+                failed[arrived] = hard[arrived] | (total[arrived] >= self.soft_h)
+                if want_traces:
+                    for r, col, jm_r, ns_r in zip(rows.tolist(), cols.tolist(), jm, ns):
+                        events.setdefault(r, []).append((col, jm_r, ns_r))
+                if self.shape_post is not None:
+                    switched = changed[rows] & ~was_changed & ~failed[arrived] & (cols + 1 < span)
+                    for j in np.flatnonzero(switched):
+                        self._repath(path, g1, u2, ids, rows[j:j + 1], cols[j] + 1,
+                                     path[rows[j], cols[j]])
+
+            if failed.any():
+                rows, cols = act[failed], e[failed]
+                gone = ids[rows]
+                self.out.failure_time[gone] = (k0 + 1 + cols) * self.dt
+                self.out.mode[gone] = np.where(hard[failed], 2, 1).astype(np.int8)
+                self.out.n_shocks[gone] = nshk[rows]
+                self.out.final_total[gone] = total[failed]
+                alive[rows] = False
+                if want_traces:
+                    end[rows] = cols
+            pos[act] = e + 1
+            keep = ~(failed | over) & (e + 1 < span)
+            act = act[keep]
+
+        if want_traces:
+            self._extend_traces(ids, k0, span, path, start, events, end)
+        self.pure[ids] = path[:, -1]
+        self.jumps[ids] = jumps
+        self.nshk[ids] = nshk
+        self.changed[ids] = changed
+        self.alive[ids] = alive
+        return violations
+
+    def _rate(self, nshk, total):
+        """Shock intensity after ``nshk`` shocks at total wear ``total``."""
+        return (1.0 + self.eta * nshk) * (self.lam0 + self.gdep * total)
+
+    def _shocks(self, ids, counts, t_end, nshk, jumps, changed) -> list[bool]:
+        """Apply each row's ``counts`` arrivals in order, as the step loop does.
+
+        Updates the per-row lists ``nshk``, ``jumps`` and ``changed`` in place
+        and returns which rows took a fatal shock.
+        """
+        mu_w, mu_y = self.mark_mean
+        sd_w, sd_y = self.mark_sd
+        d0, d1 = self.d0, self.d1
+        hard = [False] * len(ids)
+        for q, (i, c) in enumerate(zip(ids, counts)):
+            g = self.mark_gens[i]
+            if g is None:
+                g = self.mark_gens[i] = replication_stream(
+                    self.master_seed, self.rep_lo + i, MARK_STREAM)
+            # All c (magnitude, jump) pairs in one call, mapped as numpy's
+            # normal(loc, scale) maps a standard normal: loc + scale * z. Draws
+            # after a fatal shock are never read; the row's mark stream ends.
+            z = g.normal(size=2 * c).tolist()
+            ns, jm = nshk[q], jumps[q]
+            for p in range(0, 2 * c, 2):
+                ns += 1
+                mag = mu_w + sd_w * z[p]
+                if mag > d1:
+                    hard[q] = True
+                    break
+                if mag > d0 and not changed[q]:
+                    changed[q] = True
+                    self.out.rate_change_time[i] = t_end[q]
+                y = mu_y + sd_y * z[p + 1]
+                if y > 0.0:
+                    jm += y
+            nshk[q], jumps[q] = ns, jm
+        return hard
+
+    def _next_event(self, path, upois, jumps, nshk, act, pos) -> np.ndarray:
+        """First column >= pos of each row in ``act`` that may hold an event.
+
+        Within a chunk a row's pure path, total and intensity are
+        nondecreasing until its next event, so soft failure and the guard are
+        first met where a prefix count says, and only rows whose last column
+        reaches the threshold need the count. Arrival candidates are the
+        uniforms with u >= exp(-mu) possible at the row's largest mu: exp(-mu)
+        >= 1 - mu, so u + mu_last >= 1 - _ARRIVAL_SLACK keeps every arrival,
+        and poisson_counts decides which candidates are arrivals.
+        """
+        span = path.shape[1]
+        whole = act.size == path.shape[0]
+        sel = slice(None) if whole else act
+        jm = jumps[act]
+        last = path[sel, -1] + jm
+        mu_last = self._rate(nshk[act], last) * self.dt
+
+        cand = upois[sel] >= ((1.0 - _ARRIVAL_SLACK) - mu_last)[:, None]
+        p = pos[act]
+        if p.any():
+            cand &= np.arange(span) >= p[:, None]
+        e = np.full(act.size, span)
+        rows = np.flatnonzero(cand.any(axis=1))
+        e[rows] = cand[rows].argmax(axis=1)
+
+        rows = np.flatnonzero((last >= self.soft_h) | (mu_last > MAX_RATE_DT))
+        if rows.size:
+            total = path[act[rows]] + jm[rows, None]
+            first_soft = (total < self.soft_h).sum(axis=1)
+            mu = self._rate(nshk[act[rows], None], total) * self.dt
+            first_over = (mu <= MAX_RATE_DT).sum(axis=1)
+            first = np.maximum(np.minimum(first_soft, first_over), p[rows])
+            e[rows] = np.minimum(e[rows], first)
+        return e
+
+    def _repath(self, path, g1, u2, ids, rows, j0, start) -> None:
+        """Rebuild the pure paths of rate-changed ``rows`` from column j0 on,
+        starting from ``start`` (their pure wear before column j0)."""
+        post = gammaincinv(self.shape_post[ids[rows], None], u2[rows, j0:]) * self.scale
+        if self.d_alpha > 0.0:
+            # rounding as (pure + pre-change increment) + post-change increment
+            inc = np.empty((rows.size, 2 * post.shape[1]))
+            inc[:, 0::2] = g1[rows, j0:]
+            inc[:, 1::2] = post
+        else:
+            inc = post
+        inc[:, 0] += start
+        np.cumsum(inc, axis=1, out=inc)
+        path[rows, j0:] = inc[:, 1::2] if self.d_alpha > 0.0 else inc
+
+    def _extend_traces(self, ids, k0, span, path, start, events, end) -> None:
+        """Append a (t, pure, jumps, n_shocks) row per step each row was alive."""
+        times = [(k0 + j + 1) * self.dt for j in range(span)]
+        jumps0, nshk0 = start
+        for r, i in enumerate(ids.tolist()):
+            stop = int(end[r]) + 1
+            pure = path[r, :stop].tolist()
+            trace = self.out.traces[i]
+            col, jm, ns = 0, jumps0[r], nshk0[r]
+            for nxt, jm_next, ns_next in events.get(r, []) + [(stop, None, None)]:
+                trace.extend(zip(times[col:nxt], pure[col:nxt], repeat(jm), repeat(ns)))
+                col, jm, ns = nxt, jm_next, ns_next
+
+    def step_size_error(self, violations: list[tuple], k0: int) -> StepSizeError:
+        """The guard error of the step loop: its earliest violating step, at
+        the largest intensity there, naming that replication."""
+        col, rate_max, i = min(violations, key=lambda v: (v[0], -v[1], v[2]))
+        t_end = (k0 + col + 1) * self.dt
+        err = StepSizeError(
+            f"intensity*dt = {rate_max * self.dt:.4g} exceeds {MAX_RATE_DT} at t={t_end:.6g}; "
+            f"use dt <= {MAX_RATE_DT / rate_max:.4g}",
+            suggested_dt=MAX_RATE_DT / rate_max,
+        )
+        err.time = t_end
+        err.rep_index = self.rep_lo + i
+        return err
+
+
 def _simulate_batch(params: ModelParams, horizon: float, dt: float, master_seed: int,
                     rep_lo: int, rep_hi: int, want_traces: bool = False) -> BatchResult:
-    deg = params.degradation
-    shk = params.shock
     n_steps = step_count(horizon, dt)
     n = rep_hi - rep_lo
     out = BatchResult(n, want_traces)
     if n == 0:
         return out
+    batch = _Batch(params, dt, n_steps, master_seed, rep_lo, out)
+    for k0 in range(0, n_steps, _CHUNK):
+        ids = np.flatnonzero(batch.alive)
+        if ids.size == 0:
+            break
+        span = min(_CHUNK, n_steps - k0)
+        violations = []
+        for lo in range(0, ids.size, _ROWS):
+            violations += batch.advance(ids[lo:lo + _ROWS], k0, span)
+        if violations:
+            raise batch.step_size_error(violations, k0)
 
-    path_gens = np.empty(n, dtype=object)
-    mark_gens = np.empty(n, dtype=object)
-    for j in range(n):
-        path_gens[j] = replication_stream(master_seed, rep_lo + j, PATH_STREAM)
-        mark_gens[j] = replication_stream(master_seed, rep_lo + j, MARK_STREAM)
-
-    theta = np.ones(n)
-    if deg.theta_law is not None:
-        tl = deg.theta_law
-        for j in range(n):
-            theta[j] = float(gammaincinv(tl.shape, path_gens[j].random())) / tl.rate
-
-    scale = 1.0 / deg.beta
-    shape_pre = theta * (deg.alpha1 * dt)
-    d_alpha = deg.alpha2 - deg.alpha1
-    if d_alpha > 0.0:
-        shape_post = theta * (d_alpha * dt)      # additive extra increment
-    elif d_alpha < 0.0:
-        shape_post = theta * (deg.alpha2 * dt)   # replacement increment (rate decrease)
-    else:
-        shape_post = None
-
-    mu_w, sd_w = shk.magnitude_law.mean, shk.magnitude_law.stdev
-    mu_y, sd_y = deg.jump_law.mean, deg.jump_law.stdev
-    lam0, gdep, eta = shk.lambda0, shk.gamma_dep, shk.eta
-    d0, d1 = shk.damage_threshold, shk.hard_threshold
-    soft_h = deg.soft_threshold
-
-    # `live` maps compacted rows to batch-local ids; `alive` masks rows that
-    # failed mid-chunk. Compaction happens only at chunk boundaries where the
-    # buffers are reallocated anyway, so failures never force buffer copies.
-    live = np.arange(n)
-    alive = np.ones(n, dtype=bool)
-    pure = np.zeros(n)
-    jumps = np.zeros(n)
-    nshk = np.zeros(n, dtype=np.int64)
-    changed = np.zeros(n, dtype=bool)
-    g1 = u2 = upois = None
-
-    for k in range(n_steps):
-        col = k % _CHUNK
-        if col == 0:
-            if not alive.all():
-                live = live[alive]
-                pure = pure[alive]
-                jumps = jumps[alive]
-                nshk = nshk[alive]
-                changed = changed[alive]
-                alive = np.ones(live.size, dtype=bool)
-            if live.size == 0:
-                break
-            span = min(_CHUNK, n_steps - k)
-            g1 = u = u2 = upois = None  # free the last chunk's buffers before allocating
-            g1 = np.empty((live.size, span))
-            u = np.empty((live.size, 2 * span))
-            for r in range(live.size):
-                g = path_gens[live[r]]
-                g1[r] = g.gamma(shape_pre[live[r]], scale, size=span)
-                g.random(out=u[r])
-            u2 = u[:, :span]
-            upois = u[:, span:]
-
-        t_end = (k + 1) * dt
-
-        if changed.any() and shape_post is not None:
-            rows = np.nonzero(changed)[0]
-            post = gammaincinv(shape_post[live[rows]], u2[rows, col]) * scale
-            if d_alpha > 0.0:
-                pure += g1[:, col]
-                pure[rows] += post
-            else:
-                inc = g1[:, col].copy()
-                inc[rows] = post
-                pure += inc
-        else:
-            pure += g1[:, col]
-
-        total = pure + jumps
-        soft_first = alive & (total >= soft_h)
-
-        running = alive & ~soft_first
-        rate = (1.0 + eta * nshk) * (lam0 + gdep * total)
-        if running.any():
-            rate_max = rate[running].max()
-            if rate_max * dt > MAX_RATE_DT:
-                raise StepSizeError(
-                    f"intensity*dt = {rate_max * dt:.4g} exceeds {MAX_RATE_DT} at t={t_end:.6g}; "
-                    f"use dt <= {MAX_RATE_DT / rate_max:.4g}",
-                    suggested_dt=MAX_RATE_DT / rate_max,
-                )
-
-        mu = rate * dt
-        mu[~running] = 0.0  # failed rows take no arrivals and must not stall the inversion
-        counts = poisson_counts(mu, upois[:, col])
-        hard_now = np.zeros(live.size, dtype=bool)
-        if counts.any():
-            for r in np.nonzero(counts)[0]:
-                g = mark_gens[live[r]]
-                for _ in range(counts[r]):
-                    mag = g.normal(mu_w, sd_w)
-                    nshk[r] += 1
-                    if mag > d1:
-                        hard_now[r] = True
-                        break
-                    if mag > d0 and not changed[r]:
-                        changed[r] = True
-                        out.rate_change_time[live[r]] = t_end
-                    y = g.normal(mu_y, sd_y)
-                    if y > 0.0:
-                        jumps[r] += y
-            total = pure + jumps
-
-        if want_traces:
-            for r in np.nonzero(alive)[0]:
-                out.traces[live[r]].append((t_end, float(pure[r]), float(jumps[r]), int(nshk[r])))
-
-        newly_failed = soft_first | hard_now | (running & (total >= soft_h))
-        if newly_failed.any():
-            rows = np.nonzero(newly_failed)[0]
-            gone = live[rows]
-            out.failure_time[gone] = t_end
-            out.mode[gone] = np.where(hard_now[rows], 2, 1).astype(np.int8)
-            out.n_shocks[gone] = nshk[rows]
-            out.final_total[gone] = total[rows]
-            alive[rows] = False
-            if not alive.any():
-                break
-
-    if alive.any():
-        rows = np.nonzero(alive)[0]
-        out.n_shocks[live[rows]] = nshk[rows]
-        out.final_total[live[rows]] = (pure + jumps)[rows]
+    rows = np.flatnonzero(batch.alive)
+    out.n_shocks[rows] = batch.nshk[rows]
+    out.final_total[rows] = batch.pure[rows] + batch.jumps[rows]
     return out
 
 

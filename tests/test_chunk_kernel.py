@@ -1,0 +1,194 @@
+"""The chunk kernel against the per-step loop it replaced, and engine
+properties that must not depend on how replications are batched."""
+
+import functools
+import pickle
+import warnings
+
+import numpy as np
+import pytest
+
+import shockwear.simulate as simulate
+from shockwear import (
+    GammaLaw,
+    NormalLaw,
+    StepSizeError,
+    estimate_reliability,
+    run_replications,
+    simulate_replication,
+)
+from tests import reference_engine
+from tests.conftest import make_params
+
+FIELDS = ("failure_time", "mode", "rate_change_time", "n_shocks", "final_total")
+
+# id: (make_params overrides, horizon, master_seed, rep_lo, rep_hi, want_traces).
+# Horizons of 2.5 to 7.77 end in a partial chunk of the 256-step refill.
+CASES = {
+    "valve": (dict(), 20.0, 5, 0, 300, False),
+    "d_alpha_pos_frequent_damage": (dict(lambda0=0.5, D0=12.0, D1=25.0, H=50.0), 6.0, 7, 3, 300, True),
+    "d_alpha_neg": (dict(lambda0=0.5, D0=12.0, alpha1=0.9, alpha2=0.4, H=50.0), 6.0, 8, 0, 400, False),
+    "d_alpha_zero": (dict(lambda0=0.5, D0=12.0, alpha1=0.7, alpha2=0.7), 6.0, 9, 0, 400, False),
+    "theta_law": (dict(lambda0=1.0, gamma=0.0, D0=15.0, D1=20.0, theta_law=GammaLaw(4.0, 4.0)),
+                  8.0, 7, 10, 300, True),
+    "clamped_jumps": (dict(lambda0=1.0, gamma=0.0, Y=NormalLaw(0.0, 0.5)), 5.0, 3, 0, 300, True),
+    # two jumps of ~4 always pass H = 5, so a row takes at most one shock
+    # before a step, keeping rate*dt <= 0.075 while steps with 2-3 arrivals occur
+    "multi_arrival": (dict(lambda0=3.0, eta=1.5, gamma=0.0, Y=NormalLaw(4.0, 0.3), D0=35.0, D1=45.0),
+                      2.5, 4, 0, 400, False),
+    "coupled": (dict(lambda0=0.3, gamma=0.1, D0=25.0, H=8.0), 7.77, 11, 5, 300, True),
+    "zero_horizon": (dict(), 0.0, 1, 17, 50, True),
+}
+
+
+def _params(case):
+    overrides, horizon = CASES[case][:2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # alpha2 < alpha1 is legal but unusual
+        return make_params(horizon=horizon, **overrides)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference(case):
+    _, horizon, seed, lo, hi, traces = CASES[case]
+    return reference_engine._simulate_batch(_params(case), horizon, 0.01, seed, lo, hi, traces)
+
+
+def assert_identical(new, old):
+    for name in FIELDS:
+        a, b = getattr(new, name), getattr(old, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    # pickles hold every float's bits and the Python types the CSV writer formats
+    assert pickle.dumps(new.traces) == pickle.dumps(old.traces)
+
+
+@pytest.mark.parametrize("rows", [None, 7], ids=["default_rows", "rows7"])
+@pytest.mark.parametrize("case", list(CASES))
+def test_matches_step_loop(case, rows, monkeypatch):
+    if rows is not None:
+        monkeypatch.setattr(simulate, "_ROWS", rows)
+    _, horizon, seed, lo, hi, traces = CASES[case]
+    new = simulate._simulate_batch(_params(case), horizon, 0.01, seed, lo, hi, traces)
+    assert_identical(new, _reference(case))
+
+
+def test_matrix_reaches_its_cases(monkeypatch):
+    counts = []
+    real = simulate.poisson_counts
+
+    def spy(mu, u):
+        c = real(mu, u)
+        counts.append(c.max(initial=0))
+        return c
+
+    monkeypatch.setattr(simulate, "poisson_counts", spy)
+    simulate._simulate_batch(_params("multi_arrival"), 2.5, 0.01, 4, 0, 400)
+    assert max(counts) >= 2
+    ref = {case: _reference(case) for case in CASES}
+    assert np.isfinite(ref["valve"].failure_time).any()
+    assert (~np.isnan(ref["d_alpha_pos_frequent_damage"].rate_change_time)).sum() > 20
+    assert (~np.isnan(ref["d_alpha_neg"].rate_change_time)).sum() > 20
+    assert set(ref["theta_law"].mode.tolist()) == {0, 1, 2}
+    assert ref["clamped_jumps"].n_shocks.sum() > 100
+    # failures strictly inside chunks, not only at their edges
+    ft = ref["coupled"].failure_time
+    steps = np.rint(ft[np.isfinite(ft)] / 0.01).astype(int)
+    assert np.any(steps % 256 != 0)
+
+
+# Wear feeds the intensity (gamma > 0): the fastest-wearing replication
+# crosses rate*dt = 0.1 at t = 3.7, step 370, inside the second chunk.
+GUARD = dict(lambda0=0.01, gamma=0.2, H=1e3)
+
+
+@pytest.mark.parametrize("rows", [None, 7], ids=["default_rows", "rows7"])
+def test_step_size_error_matches_step_loop(rows, monkeypatch):
+    if rows is not None:
+        monkeypatch.setattr(simulate, "_ROWS", rows)
+    p = make_params(horizon=10.0, **GUARD)
+    with pytest.raises(StepSizeError) as old:
+        reference_engine._simulate_batch(p, 10.0, 0.01, 5, 0, 300)
+    with pytest.raises(StepSizeError) as new:
+        run_replications(p, 10.0, 0.01, 5, 300)
+    assert str(new.value) == str(old.value)
+    assert new.value.suggested_dt == old.value.suggested_dt
+    assert 256 * 0.01 < new.value.time <= 512 * 0.01
+    assert f"at t={new.value.time:.6g};" in str(new.value)
+
+
+def test_step_size_error_names_a_replayable_replication():
+    p = make_params(horizon=10.0, **GUARD)
+    with pytest.raises(StepSizeError) as batch:
+        run_replications(p, 10.0, 0.01, 5, 300)
+    assert 0 <= batch.value.rep_index < 300
+    with pytest.raises(StepSizeError) as alone:
+        simulate_replication(p, 10.0, 0.01, 5, rep_index=batch.value.rep_index)
+    assert alone.value.rep_index == batch.value.rep_index
+    assert alone.value.time == batch.value.time
+    assert alone.value.suggested_dt == batch.value.suggested_dt
+
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+models = st.fixed_dictionaries({
+    "lambda0": st.sampled_from([0.0, 2.5e-5, 0.3, 1.0]),
+    "gamma": st.sampled_from([0.0, 0.001, 0.05]),
+    "eta": st.sampled_from([0.2, 1.0]),
+    "D0": st.sampled_from([12.0, 30.0, 40.0]),
+    "H": st.sampled_from([2.0, 5.0]),
+    "alpha2": st.sampled_from([0.3, 0.5, 0.9]),  # alpha1 = 0.5: rate drop, none, rise
+})
+PROPERTY = settings(max_examples=12, deadline=None)
+
+
+def _outcome(params, horizon, seed, n, batch_size):
+    try:
+        return run_replications(params, horizon, 0.01, seed, n, batch_size=batch_size)
+    except StepSizeError as err:
+        return err
+
+
+@PROPERTY
+@given(model=models, steps=st.integers(0, 600), n=st.integers(1, 300),
+       seed=st.integers(0, 2**32), rows=st.sampled_from([3, 64, None]))
+def test_batch_size_invariant(model, steps, n, seed, rows):
+    horizon = steps * 0.01
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        p = make_params(horizon=horizon, **model)
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            mp.setattr(simulate, "_ROWS", rows)
+        results = [_outcome(p, horizon, seed, n, b) for b in (1, 3, 255, 257, 2049, n)]
+    first = results[0]
+    if isinstance(first, StepSizeError):
+        with pytest.raises(StepSizeError) as alone:
+            simulate_replication(p, horizon, 0.01, seed, rep_index=first.rep_index)
+        assert (alone.value.time, alone.value.suggested_dt) == (first.time, first.suggested_dt)
+    for other in results[1:]:
+        if isinstance(first, StepSizeError):
+            # batches run in index order and each raises at its own earliest
+            # violating step, so only whether the guard trips is batch-free
+            assert isinstance(other, StepSizeError)
+        else:
+            assert other[0].tobytes() == first[0].tobytes()
+            assert other[1].tobytes() == first[1].tobytes()
+
+
+@PROPERTY
+@given(model=models, steps=st.integers(1, 600), n=st.integers(1, 400),
+       seed=st.integers(0, 2**32))
+def test_curve_accounts_for_every_replication(model, steps, n, seed):
+    horizon = steps * 0.01
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        p = make_params(horizon=horizon, **model)
+    try:
+        curve = estimate_reliability(p, np.linspace(0.0, horizon, 7), n, seed)
+    except StepSizeError:
+        return
+    assert np.all(np.diff(curve.estimate) <= 0.0)
+    survived = np.rint(curve.estimate * n).astype(np.int64)
+    assert np.all(curve.soft_count + curve.hard_count + survived == n)
