@@ -47,9 +47,10 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
             raise ConfigError("--reps must be >= 1")
         run = replace(run, n_reps=args.reps)
     if args.dt is not None:
-        if args.dt <= 0.0:
-            raise ConfigError("--dt must be > 0")
-        model = replace(model, numerics=replace(model.numerics, dt=args.dt))
+        try:
+            model = replace(model, numerics=replace(model.numerics, dt=args.dt))
+        except ValueError as exc:
+            raise ConfigError(f"--dt: {exc}") from exc
     out = cfg.output
     if args.out is not None:
         out = replace(out, path=args.out)

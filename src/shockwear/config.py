@@ -148,8 +148,6 @@ def parse_config(doc: dict) -> RunConfig:
     if master_seed < 0:
         raise ConfigError(f"run.master_seed must be >= 0, got {master_seed}")
     dt = _number(run, "run", "dt")
-    if dt <= 0.0:
-        raise ConfigError(f"run.dt must be > 0, got {dt}")
     horizon = _number(run, "run", "horizon")
     if horizon <= 0.0:
         raise ConfigError(f"run.horizon must be > 0, got {horizon}")
@@ -174,7 +172,10 @@ def parse_config(doc: dict) -> RunConfig:
     if out_format != "csv":
         raise ConfigError(f"output.format: only 'csv' is supported, got {out_format!r}")
 
-    numerics = Numerics(dt=dt, horizon=horizon)
+    try:
+        numerics = Numerics(dt=dt, horizon=horizon)
+    except ValueError as exc:
+        raise ConfigError(f"run.horizon/run.dt: {exc}") from exc
     return RunConfig(
         model=ModelParams(degradation=degradation, shock=shock, numerics=numerics),
         run=RunSettings(n_reps=n_reps, master_seed=master_seed,

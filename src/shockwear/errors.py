@@ -10,9 +10,9 @@ class StepSizeError(RuntimeError):
 
     Carries ``suggested_dt``, an upper bound on dt that would satisfy the guard
     for the intensity observed when the error was raised. When the engine
-    raises it, ``time`` is the end-of-step clock of the failing batch's first
-    step that broke the guard and ``rep_index`` the replication with the
-    largest intensity at that step, so ``simulate_replication(..., rep_index=err.rep_index)``
+    raises it, ``time`` is the end-of-step clock of the run's earliest step
+    that broke the guard, for any batch size, and ``rep_index`` the replication
+    with the largest intensity there, so ``simulate_replication(..., rep_index=err.rep_index)``
     raises again at the same ``time`` with the same ``suggested_dt``.
     """
 

@@ -18,6 +18,7 @@ from .kernel import NormalLaw
 
 # Frozen-intensity steps stay accurate only while an arrival per step is rare.
 MAX_RATE_DT = 0.1
+_MAX_COUNT = 200  # inversion stops here if the float cdf saturates below u; never reached
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,7 @@ class ShockParams:
             )
 
 
-def poisson_counts(mu: np.ndarray, u: np.ndarray, max_count: int = 200) -> np.ndarray:
+def poisson_counts(mu: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Poisson draws by CDF inversion of pre-drawn uniforms.
 
     Inversion (rather than a library sampler) makes the count nondecreasing in
@@ -70,8 +71,8 @@ def poisson_counts(mu: np.ndarray, u: np.ndarray, max_count: int = 200) -> np.nd
     while pending.any():
         c[pending] += 1
         k += 1
-        if k > max_count:
-            break  # float cdf saturated below u; count is capped, never hit in practice
+        if k > _MAX_COUNT:
+            break
         term *= mu_c / k
         cdf += term
         pending = u_c >= cdf

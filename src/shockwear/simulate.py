@@ -8,17 +8,18 @@ damaging -> switch the wear rate; every non-fatal shock adds a clamped jump),
 and re-check soft failure after the jumps. Failure times are reported at the
 end-of-step clock.
 
-The engine applies these rules without visiting every step. It advances each
-replication a chunk of _CHUNK steps at a time: one sequential cumulative sum
-gives the pure path at every step of the chunk, with the rounding of adding
-one increment per step. Between two shocks the total wear and the intensity
-only grow, so whole-block scans find each replication's next event: soft
-failure, a guard violation, or an arrival candidate (u >= exp(-mu) requires
-u + mu >= 1). The per-step rules run only at those steps, and a replication is
-scanned again from the step after each of its events. Replications advance in
-sub-blocks of _ROWS, which bounds the refill buffers. Results are bit-identical
-to visiting every step, and a StepSizeError names the earliest violating step
-of the batch, as a step-by-step pass would.
+The engine applies these rules without visiting every step. A run is one loop
+over blocks of consecutive replications in index order; a block builds its
+streams and refill buffers, runs through every step and is released before the
+next, so the block size bounds memory and nothing else. Each replication
+advances a chunk of _CHUNK steps at a time: one sequential cumulative sum gives
+the pure path at every step of the chunk, with the rounding of adding one
+increment per step. Between two shocks the total wear and the intensity only
+grow, so whole-block scans find each replication's next event: soft failure, a
+guard violation, or an arrival candidate (u >= exp(-mu) requires u + mu >= 1).
+The per-step rules run only at those steps, and a replication is scanned again
+from the step after each of its events. Results are bit-identical to visiting
+every step, and a StepSizeError names the run's earliest violating step.
 
 Stream layout (a compatibility contract: changing it changes every result
 for a given seed):
@@ -55,7 +56,7 @@ from .rng import MARK_STREAM, PATH_STREAM, replication_stream
 from .shocks import MAX_RATE_DT, ShockParams, poisson_counts
 
 _CHUNK = 256  # steps of pre-drawn path randomness per refill; part of the stream contract
-_ROWS = 2048  # rows advanced together; sizes the refill buffers, not part of the stream contract
+_ROWS = 2048  # default replications per block (sizes the refill buffers); not in the stream contract
 # Rounding room of the arrival-candidate test: exp(-mu) near 1 errs by a few
 # ulps of 1 (1.1e-16 each), well inside this.
 _ARRIVAL_SLACK = 2e-15
@@ -72,10 +73,7 @@ class Numerics:
     horizon: float = 20.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.dt) and self.dt > 0.0):
-            raise ValueError(f"Numerics.dt must be finite and > 0, got {self.dt}")
-        if not (np.isfinite(self.horizon) and self.horizon >= 0.0):
-            raise ValueError(f"Numerics.horizon must be finite and >= 0, got {self.horizon}")
+        step_count(self.horizon, self.dt)
 
 
 @dataclass(frozen=True)
@@ -107,7 +105,7 @@ def step_count(horizon: float, dt: float) -> int:
 
 
 class BatchResult:
-    """Plain arrays for a contiguous block of replications."""
+    """Plain arrays for a contiguous range of replications."""
 
     __slots__ = ("failure_time", "mode", "rate_change_time", "n_shocks", "final_total", "traces")
 
@@ -119,14 +117,17 @@ class BatchResult:
         self.final_total = np.zeros(n)
         self.traces = [[(0.0, 0.0, 0.0, 0)] for _ in range(n)] if want_traces else None
 
+    def view(self, lo: int, hi: int) -> BatchResult:
+        """Entries lo .. hi-1; writes to the view, and to its traces, land here."""
+        part = BatchResult.__new__(BatchResult)
+        for name in self.__slots__:
+            setattr(part, name, None if getattr(self, name) is None else getattr(self, name)[lo:hi])
+        return part
+
 
 class _Batch:
-    """Row state, streams and refill buffers of one batch, advanced a chunk at a time.
-
-    Row state is indexed by batch-local replication id. A chunk is advanced in
-    sub-blocks of at most ``_ROWS`` live rows, so the refill buffers are sized
-    by ``_ROWS``, not by the batch.
-    """
+    """One block of replications: row state by block-local id, streams, and
+    refill buffers for every row, advanced through the step grid by ``run``."""
 
     def __init__(self, params: ModelParams, dt: float, n_steps: int, master_seed: int,
                  rep_lo: int, out: BatchResult):
@@ -167,20 +168,33 @@ class _Batch:
 
         self.pure = np.zeros(n)
         self.jumps = np.zeros(n)
-        self.nshk = np.zeros(n, dtype=np.int64)
+        self.nshk = out.n_shocks  # kept current; a row's count is final once it stops
         self.changed = np.zeros(n, dtype=bool)
         self.alive = np.ones(n, dtype=bool)
 
-        rows, cols = min(n, _ROWS), min(n_steps, _CHUNK)
-        self.g1 = np.empty((rows, cols))
-        self.u = np.empty((rows, 2 * cols))
-        self.path = np.empty((rows, cols))
+        cols = min(n_steps, _CHUNK)
+        self.g1 = np.empty((n, cols))
+        self.u = np.empty((n, 2 * cols))
+        self.path = np.empty((n, cols))
+
+    def run(self, n_steps: int) -> list[tuple]:
+        """Advance through the step grid; return the first violating chunk's guard violations."""
+        for k0 in range(0, n_steps, _CHUNK):
+            ids = np.flatnonzero(self.alive)
+            if ids.size == 0:
+                break
+            violations = self.advance(ids, k0, min(_CHUNK, n_steps - k0))
+            if violations:
+                return violations
+        rows = np.flatnonzero(self.alive)
+        self.out.final_total[rows] = self.pure[rows] + self.jumps[rows]
+        return []
 
     def advance(self, ids: np.ndarray, k0: int, span: int) -> list[tuple]:
         """Advance rows ``ids`` (alive, ascending) through steps k0 .. k0+span-1.
 
-        Returns the guard violations met, one ``(column, rate, id)`` per row
-        that stopped at its first step with ``rate*dt > MAX_RATE_DT``.
+        Returns the guard violations met, one ``(step, rate, rep_index)`` per
+        row that stopped at its first step with ``rate*dt > MAX_RATE_DT``.
         """
         m = ids.size
         g1 = self.g1[:m, :span]
@@ -234,7 +248,7 @@ class _Batch:
             if running.any():
                 counts[running] = poisson_counts(mu[running], upois[act[running], e[running]])
             for j in np.flatnonzero(over):
-                violations.append((int(e[j]), rate[j], int(ids[act[j]])))
+                violations.append((k0 + int(e[j]), rate[j], self.rep_lo + int(ids[act[j]])))
 
             failed = soft.copy()
             hard = np.zeros(act.size, dtype=bool)
@@ -262,7 +276,6 @@ class _Batch:
                 gone = ids[rows]
                 self.out.failure_time[gone] = (k0 + 1 + cols) * self.dt
                 self.out.mode[gone] = np.where(hard[failed], 2, 1).astype(np.int8)
-                self.out.n_shocks[gone] = nshk[rows]
                 self.out.final_total[gone] = total[failed]
                 alive[rows] = False
                 if want_traces:
@@ -383,43 +396,31 @@ class _Batch:
                 trace.extend(zip(times[col:nxt], pure[col:nxt], repeat(jm), repeat(ns)))
                 col, jm, ns = nxt, jm_next, ns_next
 
-    def step_size_error(self, violations: list[tuple], k0: int) -> StepSizeError:
-        """The guard error of the step loop: its earliest violating step, at
-        the largest intensity there, naming that replication."""
-        col, rate_max, i = min(violations, key=lambda v: (v[0], -v[1], v[2]))
-        t_end = (k0 + col + 1) * self.dt
-        err = StepSizeError(
-            f"intensity*dt = {rate_max * self.dt:.4g} exceeds {MAX_RATE_DT} at t={t_end:.6g}; "
-            f"use dt <= {MAX_RATE_DT / rate_max:.4g}",
-            suggested_dt=MAX_RATE_DT / rate_max,
-        )
-        err.time = t_end
-        err.rep_index = self.rep_lo + i
-        return err
+
+def _step_size_error(violations: list[tuple], dt: float) -> StepSizeError:
+    """The guard error of the step loop: its earliest violating step, at the
+    largest intensity there, naming that replication."""
+    step, rate, rep_index = min(violations, key=lambda v: (v[0], -v[1], v[2]))
+    t_end = (step + 1) * dt
+    err = StepSizeError(f"intensity*dt = {rate * dt:.4g} exceeds {MAX_RATE_DT} at t={t_end:.6g}; "
+                        f"use dt <= {MAX_RATE_DT / rate:.4g}", suggested_dt=MAX_RATE_DT / rate)
+    err.time, err.rep_index = t_end, rep_index
+    return err
 
 
 def _simulate_batch(params: ModelParams, horizon: float, dt: float, master_seed: int,
-                    rep_lo: int, rep_hi: int, want_traces: bool = False) -> BatchResult:
+                    rep_lo: int, rep_hi: int, want_traces: bool = False,
+                    rows: int = _ROWS) -> BatchResult:
+    """Replications rep_lo .. rep_hi-1, in blocks of ``rows``; see the module docstring."""
     n_steps = step_count(horizon, dt)
-    n = rep_hi - rep_lo
-    out = BatchResult(n, want_traces)
-    if n == 0:
-        return out
-    batch = _Batch(params, dt, n_steps, master_seed, rep_lo, out)
-    for k0 in range(0, n_steps, _CHUNK):
-        ids = np.flatnonzero(batch.alive)
-        if ids.size == 0:
-            break
-        span = min(_CHUNK, n_steps - k0)
-        violations = []
-        for lo in range(0, ids.size, _ROWS):
-            violations += batch.advance(ids[lo:lo + _ROWS], k0, span)
-        if violations:
-            raise batch.step_size_error(violations, k0)
-
-    rows = np.flatnonzero(batch.alive)
-    out.n_shocks[rows] = batch.nshk[rows]
-    out.final_total[rows] = batch.pure[rows] + batch.jumps[rows]
+    out = BatchResult(rep_hi - rep_lo, want_traces)
+    violations = []
+    for lo in range(rep_lo, rep_hi, rows):
+        # The block is released when run returns, before the next one is built.
+        violations += _Batch(params, dt, n_steps, master_seed, lo,
+                             out.view(lo - rep_lo, min(lo + rows, rep_hi) - rep_lo)).run(n_steps)
+    if violations:
+        raise _step_size_error(violations, dt)
     return out
 
 
@@ -438,7 +439,7 @@ def _outcome(res: BatchResult, j: int) -> ReplicationOutcome:
 
 def simulate_replication(params: ModelParams, horizon: float, dt: float,
                          master_seed: int, rep_index: int = 0) -> ReplicationOutcome:
-    """Run one replication; bit-identical to the same index inside a batch."""
+    """Run one replication; bit-identical to the same index inside any run."""
     res = _simulate_batch(params, horizon, dt, master_seed, rep_index, rep_index + 1)
     return _outcome(res, 0)
 
@@ -453,20 +454,16 @@ def simulate_paths(params: ModelParams, horizon: float, dt: float,
 
 
 def run_replications(params: ModelParams, horizon: float, dt: float, master_seed: int,
-                     n_reps: int, batch_size: int = 16384) -> tuple[np.ndarray, np.ndarray]:
+                     n_reps: int, batch_size: int = _ROWS) -> tuple[np.ndarray, np.ndarray]:
     """Failure times and modes for n_reps replications.
 
-    Batches are fixed-size slices of the index range and each replication has
-    its own streams, so the result is independent of batch size.
-    Returns (failure_time, mode); survivors carry failure_time = inf, mode 0.
+    ``batch_size`` replications advance at a time, which bounds memory;
+    results and guard errors do not depend on it. Returns (failure_time,
+    mode); survivors carry failure_time = inf, mode 0.
     """
     if n_reps < 1:
         raise ValueError(f"n_reps must be >= 1, got {n_reps}")
-    ftime = np.empty(n_reps)
-    mode = np.empty(n_reps, dtype=np.int8)
-    for lo in range(0, n_reps, batch_size):
-        hi = min(lo + batch_size, n_reps)
-        res = _simulate_batch(params, horizon, dt, master_seed, lo, hi)
-        ftime[lo:hi] = res.failure_time
-        mode[lo:hi] = res.mode
-    return ftime, mode
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    res = _simulate_batch(params, horizon, dt, master_seed, 0, n_reps, rows=batch_size)
+    return res.failure_time, res.mode

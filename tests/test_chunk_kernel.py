@@ -1,5 +1,5 @@
 """The chunk kernel against the per-step loop it replaced, and engine
-properties that must not depend on how replications are batched."""
+properties that must not depend on how replications are grouped in blocks."""
 
 import functools
 import pickle
@@ -62,13 +62,14 @@ def assert_identical(new, old):
     assert pickle.dumps(new.traces) == pickle.dumps(old.traces)
 
 
-@pytest.mark.parametrize("rows", [None, 7], ids=["default_rows", "rows7"])
+ROWS = pytest.mark.parametrize("rows", [simulate._ROWS, 7], ids=["default_rows", "rows7"])
+
+
+@ROWS
 @pytest.mark.parametrize("case", list(CASES))
-def test_matches_step_loop(case, rows, monkeypatch):
-    if rows is not None:
-        monkeypatch.setattr(simulate, "_ROWS", rows)
+def test_matches_step_loop(case, rows):
     _, horizon, seed, lo, hi, traces = CASES[case]
-    new = simulate._simulate_batch(_params(case), horizon, 0.01, seed, lo, hi, traces)
+    new = simulate._simulate_batch(_params(case), horizon, 0.01, seed, lo, hi, traces, rows=rows)
     assert_identical(new, _reference(case))
 
 
@@ -101,15 +102,13 @@ def test_matrix_reaches_its_cases(monkeypatch):
 GUARD = dict(lambda0=0.01, gamma=0.2, H=1e3)
 
 
-@pytest.mark.parametrize("rows", [None, 7], ids=["default_rows", "rows7"])
-def test_step_size_error_matches_step_loop(rows, monkeypatch):
-    if rows is not None:
-        monkeypatch.setattr(simulate, "_ROWS", rows)
+@ROWS
+def test_step_size_error_matches_step_loop(rows):
     p = make_params(horizon=10.0, **GUARD)
     with pytest.raises(StepSizeError) as old:
         reference_engine._simulate_batch(p, 10.0, 0.01, 5, 0, 300)
     with pytest.raises(StepSizeError) as new:
-        run_replications(p, 10.0, 0.01, 5, 300)
+        run_replications(p, 10.0, 0.01, 5, 300, batch_size=rows)
     assert str(new.value) == str(old.value)
     assert new.value.suggested_dt == old.value.suggested_dt
     assert 256 * 0.01 < new.value.time <= 512 * 0.01
@@ -126,6 +125,29 @@ def test_step_size_error_names_a_replayable_replication():
     assert alone.value.rep_index == batch.value.rep_index
     assert alone.value.time == batch.value.time
     assert alone.value.suggested_dt == batch.value.suggested_dt
+
+
+def test_step_size_error_independent_of_batch_size():
+    # Blocks of 1 to 7 first trip the guard in replication 0, at t = 2.4; the
+    # earliest violation of the run is replication 23's, at t = 1.04.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        p = make_params(lambda0=1.0, eta=1.0, D0=12.0, H=5.0, alpha2=0.3, horizon=2.46)
+    with pytest.raises(StepSizeError) as old:
+        reference_engine._simulate_batch(p, 2.46, 0.01, 0, 0, 31)
+    for batch_size in (1, 3, 7, 31):
+        with pytest.raises(StepSizeError) as new:
+            run_replications(p, 2.46, 0.01, 0, 31, batch_size=batch_size)
+        err = new.value
+        assert (str(err), err.suggested_dt) == (str(old.value), old.value.suggested_dt)
+        assert (err.time, err.rep_index) == (1.04, 23)
+
+
+def test_batch_size_below_one_refused():
+    p = make_params(horizon=1.0)
+    for batch_size in (0, -5):
+        with pytest.raises(ValueError, match="batch_size"):
+            run_replications(p, 1.0, 0.01, 1, 10, batch_size=batch_size)
 
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -150,31 +172,28 @@ def _outcome(params, horizon, seed, n, batch_size):
         return err
 
 
+def _key(outcome):
+    if isinstance(outcome, StepSizeError):
+        return str(outcome), outcome.time, outcome.suggested_dt, outcome.rep_index
+    return outcome[0].tobytes(), outcome[1].tobytes()
+
+
 @PROPERTY
 @given(model=models, steps=st.integers(0, 600), n=st.integers(1, 300),
-       seed=st.integers(0, 2**32), rows=st.sampled_from([3, 64, None]))
-def test_batch_size_invariant(model, steps, n, seed, rows):
+       seed=st.integers(0, 2**32))
+def test_batch_size_invariant(model, steps, n, seed):
     horizon = steps * 0.01
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         p = make_params(horizon=horizon, **model)
-    with pytest.MonkeyPatch.context() as mp:
-        if rows is not None:
-            mp.setattr(simulate, "_ROWS", rows)
-        results = [_outcome(p, horizon, seed, n, b) for b in (1, 3, 255, 257, 2049, n)]
+    results = [_outcome(p, horizon, seed, n, b) for b in (1, 3, 64, 255, 257, 2049, n)]
     first = results[0]
     if isinstance(first, StepSizeError):
         with pytest.raises(StepSizeError) as alone:
             simulate_replication(p, horizon, 0.01, seed, rep_index=first.rep_index)
         assert (alone.value.time, alone.value.suggested_dt) == (first.time, first.suggested_dt)
     for other in results[1:]:
-        if isinstance(first, StepSizeError):
-            # batches run in index order and each raises at its own earliest
-            # violating step, so only whether the guard trips is batch-free
-            assert isinstance(other, StepSizeError)
-        else:
-            assert other[0].tobytes() == first[0].tobytes()
-            assert other[1].tobytes() == first[1].tobytes()
+        assert _key(other) == _key(first)
 
 
 @PROPERTY

@@ -159,6 +159,14 @@ class TestCurveCommand:
         assert main(["curve", "--config", fine, "--dt", "0.05", "--print-config"]) == 0
         assert json.loads(capsys.readouterr().out)["run"]["dt"] == 0.05
 
+    def test_horizon_not_whole_steps_is_config_error(self, tmp_path, capsys):
+        bad = write_config(tmp_path, valve_doc(**{"run.dt": 0.3}), "bad.json")  # horizon 10
+        assert main(["curve", "--config", bad, "--print-config"]) == 2
+        assert "config error: run.horizon/run.dt:" in capsys.readouterr().err
+        fine = write_config(tmp_path, valve_doc(), "fine.json")
+        assert main(["curve", "--config", fine, "--dt", "0.3"]) == 2
+        assert "config error: --dt:" in capsys.readouterr().err
+
     def test_print_config_roundtrip(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, valve_doc())
         assert main(["curve", "--config", cfg_path, "--print-config"]) == 0
