@@ -10,7 +10,9 @@ guard violation, 4 validation failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from collections.abc import Iterable
 from dataclasses import replace
 
 import numpy as np
@@ -30,9 +32,31 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_lines(path: str, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _output_path(cfg: RunConfig) -> str:
+    """output.path, refused before any simulation runs if it cannot be written."""
+    path = cfg.output.path
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise ConfigError(f"output.path: directory {folder!r} does not exist")
+    if os.path.isdir(path):
+        raise ConfigError(f"output.path: {path!r} is a directory")
+    if not os.access(folder, os.W_OK | os.X_OK):
+        raise ConfigError(f"output.path: directory {folder!r} is not writable")
+    return path
+
+
+def _write_csv(path: str, header: str, chunks: Iterable[str]) -> None:
+    """Write ``header`` and then each chunk of newline-terminated rows as it
+    is produced, so the whole CSV text is never held in memory. The file is
+    opened only here, after the simulation, so a run that fails creates or
+    truncates nothing."""
+    try:
+        fh = open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError(f"output.path: cannot write {path!r}: {exc.strerror}") from exc
+    with fh:
+        fh.write(header + "\n")
+        fh.writelines(chunks)
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
@@ -64,27 +88,26 @@ def _load(args) -> RunConfig:
     return cfg
 
 
-def _curve_lines(curve) -> list[str]:
-    lines = ["t,R_hat,ci_low,ci_high,n_reps,n_soft,n_hard,n_survived"]
+def _curve_rows(curve) -> Iterable[str]:
     for i, t in enumerate(curve.grid):
         surviving = curve.n_reps - int(curve.soft_count[i]) - int(curve.hard_count[i])
-        lines.append(",".join([
+        yield ",".join([
             _fmt(t), _fmt(curve.estimate[i]), _fmt(curve.ci_low[i]), _fmt(curve.ci_high[i]),
             str(curve.n_reps), str(int(curve.soft_count[i])), str(int(curve.hard_count[i])),
             str(surviving),
-        ]))
-    return lines
+        ]) + "\n"
 
 
 def cmd_curve(args) -> int:
     cfg = _load(args)
     if args.print_config:
         return 0
+    path = _output_path(cfg)
     curve = estimate_reliability(
         cfg.model, cfg.run.grid.times(), cfg.run.n_reps, cfg.run.master_seed,
     )
-    _write_lines(cfg.output.path, _curve_lines(curve))
-    print(f"wrote {cfg.output.path}: {curve.grid.size} grid points, {curve.n_reps} replications")
+    _write_csv(path, "t,R_hat,ci_low,ci_high,n_reps,n_soft,n_hard,n_survived", _curve_rows(curve))
+    print(f"wrote {path}: {curve.grid.size} grid points, {curve.n_reps} replications")
     return 0
 
 
@@ -98,20 +121,17 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"could not parse sweep values {args.values!r}: {exc}") from exc
     if not values:
         raise ConfigError("sweep needs at least one value")
+    path = _output_path(cfg)
     try:
         curves = sweep(cfg.model, args.parameter, values, cfg.run.grid.times(),
                        cfg.run.n_reps, cfg.run.master_seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    lines = ["param_value,t,R_hat,ci_low,ci_high"]
-    for value, curve in curves:
-        for i, t in enumerate(curve.grid):
-            lines.append(",".join([
-                _fmt(value), _fmt(t), _fmt(curve.estimate[i]),
-                _fmt(curve.ci_low[i]), _fmt(curve.ci_high[i]),
-            ]))
-    _write_lines(cfg.output.path, lines)
-    print(f"wrote {cfg.output.path}: {args.parameter} sweep over {len(values)} values")
+    rows = (",".join([
+        _fmt(value), _fmt(t), _fmt(curve.estimate[i]), _fmt(curve.ci_low[i]), _fmt(curve.ci_high[i]),
+    ]) + "\n" for value, curve in curves for i, t in enumerate(curve.grid))
+    _write_csv(path, "param_value,t,R_hat,ci_low,ci_high", rows)
+    print(f"wrote {path}: {args.parameter} sweep over {len(values)} values")
     return 0
 
 
@@ -147,6 +167,41 @@ def cmd_validate(args) -> int:
     return 0 if ok else 4
 
 
+def _path_chunks(outcomes, stride: int) -> Iterable[str]:
+    """The rows of each trajectory as one string: every stride-th step and the last.
+
+    Each distinct value is formatted once, with the bytes of formatting every
+    field of every row: a run's traces share their times, so each t is
+    formatted once per run; jumps changes only at shocks, so it is formatted
+    again only when it differs from the row before (it only accumulates
+    positive jumps from 0.0, so it is never -0.0, whose text differs); and
+    total is pure's text while jumps == 0.0, since pure + 0.0 == pure for
+    pure >= 0.
+    """
+    t_text: dict[float, str] = {}
+    for rep, outcome in enumerate(outcomes):
+        trace = outcome.trace
+        kept = trace[::stride]
+        if (len(trace) - 1) % stride:
+            kept += trace[-1:]
+        changed_at = outcome.rate_change_time
+        if changed_at is None:
+            changed_at = float("inf")
+        last_jumps = None
+        lines = []
+        for t, pure, jumps, n_shocks in kept:
+            t_s = t_text.get(t)
+            if t_s is None:
+                t_s = t_text[t] = f"{t:.17g}"
+            pure_s = f"{pure:.17g}"
+            if jumps != last_jumps:
+                last_jumps, jumps_s = jumps, f"{jumps:.17g}"
+            total_s = pure_s if jumps == 0.0 else f"{pure + jumps:.17g}"
+            lines.append(f"{rep},{t_s},{pure_s},{jumps_s},{total_s},{n_shocks},"
+                         f"{'1' if t >= changed_at else '0'}\n")
+        yield "".join(lines)
+
+
 def cmd_paths(args) -> int:
     cfg = _load(args)
     if args.print_config:
@@ -155,22 +210,12 @@ def cmd_paths(args) -> int:
         raise ConfigError("k must be >= 1")
     if args.stride < 1:
         raise ConfigError("--stride must be >= 1")
+    path = _output_path(cfg)
     num = cfg.model.numerics
     outcomes = simulate_paths(cfg.model, num.horizon, num.dt, cfg.run.master_seed, args.k)
-    lines = ["rep,t,pure,jumps,total,n_shocks,rate_changed"]
-    for rep, outcome in enumerate(outcomes):
-        trace = outcome.trace
-        last = len(trace) - 1
-        for i, (t, pure, jumps, n_shocks) in enumerate(trace):
-            if i % args.stride and i != last:
-                continue
-            changed = outcome.rate_change_time is not None and t >= outcome.rate_change_time
-            lines.append(",".join([
-                str(rep), _fmt(t), _fmt(pure), _fmt(jumps), _fmt(pure + jumps),
-                str(n_shocks), "1" if changed else "0",
-            ]))
-    _write_lines(cfg.output.path, lines)
-    print(f"wrote {cfg.output.path}: {args.k} trajectories")
+    _write_csv(path, "rep,t,pure,jumps,total,n_shocks,rate_changed",
+               _path_chunks(outcomes, args.stride))
+    print(f"wrote {path}: {args.k} trajectories")
     return 0
 
 

@@ -201,8 +201,9 @@ class _Batch:
         u = self.u[:m, :2 * span]
         for i, shape, g1_row, u_row in zip(ids.tolist(), self.shape_pre[ids].tolist(), g1, u):
             g = self.path_gens[i]
-            g1_row[...] = g.gamma(shape, self.scale, size=span)
+            g.standard_gamma(shape, out=g1_row)
             g.random(out=u_row)
+        g1 *= self.scale  # the draws of g.gamma(shape, scale): numpy scales standard gammas
         u2, upois = u[:, :span], u[:, span:]
 
         # Pure-wear path of every row at every column of the chunk. Accumulation

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -5,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 
+import shockwear.cli
+import shockwear.reliability
 from shockwear import ConfigError
 from shockwear.cli import main
 from shockwear.config import config_to_dict, dump_config, load_config, parse_config
@@ -237,6 +240,12 @@ class TestValidateCommand:
         assert "P(Y < 0)" in capsys.readouterr().err
 
 
+def aggressive_doc(**overrides):
+    """Shock-heavy, rate-changing config: about 4 shocks and often a rate change per path."""
+    return valve_doc(**{"model.lambda0": 0.4, "model.D0": 12.0, "model.H": 50.0,
+                        "run.horizon": 10.0, "run.grid.stop": 10.0, **overrides})
+
+
 class TestPathsCommand:
     def test_trace_csv(self, tmp_path):
         out = tmp_path / "paths.csv"
@@ -263,10 +272,7 @@ class TestPathsCommand:
 
     def test_rate_change_flips_once_in_aggressive_config(self, tmp_path):
         out = tmp_path / "paths.csv"
-        doc = valve_doc(**{"model.lambda0": 0.4, "model.D0": 12.0, "model.H": 50.0,
-                           "run.horizon": 10.0, "run.grid.stop": 10.0,
-                           "output.path": str(out)})
-        cfg = write_config(tmp_path, doc)
+        cfg = write_config(tmp_path, aggressive_doc(**{"output.path": str(out)}))
         assert main(["paths", "40", "--config", cfg]) == 0
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         by_rep = {}
@@ -278,6 +284,65 @@ class TestPathsCommand:
             if flags[-1] == 1:
                 transitions += 1
         assert transitions > 0
+
+    # SHA-256 of `paths 40` on aggressive_doc, computed when every field of
+    # every row was formatted on its own (tests/test_paths_bytes.py keeps that
+    # writer); 1001 rows per path, so stride 7 ends on an off-stride row.
+    PINNED = {
+        1: "4e97394aac3ec744dae587c28272237b8ca03e2f97a528f1a20c8c64c18a92cd",
+        7: "bb803a4c6b9a81e4d31ecc98e6f2c9c4e89a7c83e8a4d3feb49a419ff01b4057",
+    }
+
+    @pytest.mark.parametrize("stride", sorted(PINNED))
+    def test_pinned_digest(self, tmp_path, stride):
+        out = tmp_path / "paths.csv"
+        cfg = write_config(tmp_path, aggressive_doc())
+        assert main(["paths", "40", "--stride", str(stride), "--config", cfg,
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PINNED[stride]
+
+
+class TestOutputPath:
+    VERBS = {"curve": [], "sweep": ["gamma", "0,0.001"], "paths": ["2"]}
+
+    @pytest.fixture
+    def no_engine(self, monkeypatch):
+        def engine(*args, **kwargs):
+            raise AssertionError("the engine ran before the output path was checked")
+        monkeypatch.setattr(shockwear.reliability, "run_replications", engine)
+        monkeypatch.setattr(shockwear.cli, "simulate_paths", engine)
+
+    @pytest.mark.parametrize("verb", sorted(VERBS))
+    def test_missing_directory_refused_before_engine(self, tmp_path, capsys, no_engine, verb):
+        cfg = write_config(tmp_path, valve_doc())
+        out = tmp_path / "missing" / "out.csv"
+        assert main([verb, *self.VERBS[verb], "--config", cfg, "--out", str(out)]) == 2
+        assert "config error: output.path:" in capsys.readouterr().err
+
+    def test_directory_as_path_refused_before_engine(self, tmp_path, capsys, no_engine):
+        cfg = write_config(tmp_path, valve_doc())
+        assert main(["curve", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "config error: output.path:" in capsys.readouterr().err
+
+    def test_unwritable_directory_refused_before_engine(self, tmp_path, capsys, no_engine,
+                                                        monkeypatch):
+        cfg = write_config(tmp_path, valve_doc())
+        monkeypatch.setattr(shockwear.cli.os, "access", lambda path, mode: False)
+        assert main(["curve", "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 2
+        assert "is not writable" in capsys.readouterr().err
+
+    def test_open_error_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"^output\.path: cannot write"):
+            shockwear.cli._write_csv(str(tmp_path / "missing" / "out.csv"), "h", [])
+
+    def test_guard_error_leaves_files_alone(self, tmp_path):
+        cfg = write_config(tmp_path, valve_doc(**{"model.lambda0": 50.0}))
+        kept, absent = tmp_path / "kept.csv", tmp_path / "absent.csv"
+        kept.write_text("earlier output\n")
+        assert main(["curve", "--config", cfg, "--out", str(kept)]) == 3
+        assert main(["paths", "2", "--config", cfg, "--out", str(absent)]) == 3
+        assert kept.read_text() == "earlier output\n"
+        assert not absent.exists()
 
 
 class TestEntryPoint:
