@@ -6,6 +6,10 @@ and the accumulated wear, add jumps to the wear path, and can kill the unit
 outright. The package provides a Monte Carlo engine for the coupled model, a
 semi-analytic evaluator for the decoupled special case used as an oracle, and
 a CLI for curves, parameter sweeps, validation runs and trajectory export.
+
+``__all__`` is the public API. Helpers defined at module level (the special
+functions in ``kernel``, ``quadrature.integrate``, the stream constructors in
+``rng``) can be imported from their modules but are not part of it.
 """
 
 from .degradation import DegradationParams
@@ -15,30 +19,15 @@ from .errors import (
     StepSizeError,
     UnsupportedConfigError,
 )
-from .kernel import (
-    GammaLaw,
-    NormalLaw,
-    facilitation_pmf,
-    facilitation_total_mass,
-    gamma_cdf,
-    gamma_pdf,
-    iid_sum_normal,
-    normal_cdf,
-    normal_pdf,
-)
-from .quadrature import integrate
+from .kernel import GammaLaw, NormalLaw
 from .reliability import (
     SWEEPABLE,
     ReliabilityCurve,
-    analytic_no_shock_term,
     analytic_reliability,
-    apply_sweep_value,
     estimate_reliability,
     sweep,
-    wilson_interval,
 )
-from .rng import MARK_STREAM, PATH_STREAM, replication_stream
-from .shocks import MAX_RATE_DT, ShockParams, poisson_counts
+from .shocks import MAX_RATE_DT, ShockParams
 from .simulate import (
     ModelParams,
     Numerics,
@@ -52,40 +41,30 @@ from .simulate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfigError",
+    # the model
     "DegradationParams",
-    "GammaLaw",
-    "IntegrationError",
-    "MAX_RATE_DT",
-    "MARK_STREAM",
+    "ShockParams",
     "ModelParams",
-    "NormalLaw",
     "Numerics",
-    "PATH_STREAM",
+    "NormalLaw",
+    "GammaLaw",
+    # results
     "ReliabilityCurve",
     "ReplicationOutcome",
-    "SWEEPABLE",
-    "ShockParams",
-    "StepSizeError",
-    "UnsupportedConfigError",
-    "analytic_no_shock_term",
-    "analytic_reliability",
-    "apply_sweep_value",
+    # entry points
     "estimate_reliability",
-    "facilitation_pmf",
-    "facilitation_total_mass",
-    "gamma_cdf",
-    "gamma_pdf",
-    "iid_sum_normal",
-    "integrate",
-    "normal_cdf",
-    "normal_pdf",
-    "poisson_counts",
-    "replication_stream",
+    "analytic_reliability",
+    "sweep",
+    "SWEEPABLE",
+    "simulate_replication",
     "run_replications",
     "simulate_paths",
-    "simulate_replication",
     "step_count",
-    "sweep",
-    "wilson_interval",
+    # errors
+    "ConfigError",
+    "StepSizeError",
+    "UnsupportedConfigError",
+    "IntegrationError",
+    # the numeric guard: rate * dt must not exceed it
+    "MAX_RATE_DT",
 ]

@@ -10,6 +10,7 @@ guard violation, 4 validation failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from collections.abc import Iterable
@@ -17,8 +18,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import RunConfig, dump_config, load_config
-from .errors import ConfigError, StepSizeError, UnsupportedConfigError
+from .config import RunConfig, _config_names, dump_config, load_config
+from .errors import ConfigError, StepSizeError
 from .reliability import (
     SWEEPABLE,
     analytic_reliability,
@@ -119,14 +120,12 @@ def cmd_sweep(args) -> int:
         values = [float(v) for v in args.values.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise ConfigError(f"could not parse sweep values {args.values!r}: {exc}") from exc
-    if not values:
-        raise ConfigError("sweep needs at least one value")
     path = _output_path(cfg)
     try:
         curves = sweep(cfg.model, args.parameter, values, cfg.run.grid.times(),
                        cfg.run.n_reps, cfg.run.master_seed)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(_config_names(str(exc))) from exc
     rows = (",".join([
         _fmt(value), _fmt(t), _fmt(curve.estimate[i]), _fmt(curve.ci_low[i]), _fmt(curve.ci_high[i]),
     ]) + "\n" for value, curve in curves for i, t in enumerate(curve.grid))
@@ -139,17 +138,21 @@ def cmd_validate(args) -> int:
     cfg = _load(args)
     if args.print_config:
         return 0
-    times = [t for t in (1.0, 2.0, 4.0, 8.0) if t <= cfg.model.numerics.horizon]
+    for flag, value in (("--tol", args.tol), ("--abs-tol", args.abs_tol)):
+        if value is not None and not (math.isfinite(value) and value >= 0.0):
+            raise ConfigError(f"{flag} must be finite and >= 0, got {value}")
+    horizon = cfg.model.numerics.horizon
+    times = [t for t in (1.0, 2.0, 4.0, 8.0) if t <= horizon]
     if args.times:
         try:
             times = [float(v) for v in args.times.split(",")]
         except ValueError as exc:
             raise ConfigError(f"could not parse --times: {exc}") from exc
+        outside = [t for t in times if not 0.0 <= t <= horizon]
+        if outside:
+            raise ConfigError(f"--times: {outside[0]} lies outside [0, horizon={horizon}]")
     grid = np.array(sorted(times))
-    try:
-        analytic = [analytic_reliability(cfg.model, t) for t in grid]
-    except UnsupportedConfigError as exc:
-        raise ConfigError(str(exc)) from exc
+    analytic = [analytic_reliability(cfg.model, t) for t in grid]
     curve = estimate_reliability(cfg.model, grid, cfg.run.n_reps, cfg.run.master_seed)
     ok = True
     max_dev = 0.0
@@ -268,15 +271,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError, UnsupportedConfigError and model range errors
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except StepSizeError as exc:
         print(f"numeric guard: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, UnsupportedConfigError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -62,7 +62,6 @@ class RunSettings:
 @dataclass(frozen=True)
 class OutputSettings:
     path: str
-    format: str = "csv"
 
 
 @dataclass(frozen=True)
@@ -168,6 +167,7 @@ def parse_config(doc: dict) -> RunConfig:
     out_path = output.get("path")
     if not isinstance(out_path, str) or not out_path:
         raise ConfigError("output.path: expected a non-empty string")
+    # output.format may be left out; CSV is the only format written
     out_format = output.get("format", "csv")
     if out_format != "csv":
         raise ConfigError(f"output.format: only 'csv' is supported, got {out_format!r}")
@@ -180,7 +180,7 @@ def parse_config(doc: dict) -> RunConfig:
         model=ModelParams(degradation=degradation, shock=shock, numerics=numerics),
         run=RunSettings(n_reps=n_reps, master_seed=master_seed,
                         grid=GridSpec(start, stop, points)),
-        output=OutputSettings(path=out_path, format=out_format),
+        output=OutputSettings(path=out_path),
     )
 
 
@@ -214,7 +214,7 @@ def config_to_dict(cfg: RunConfig) -> dict:
             "dt": num.dt,
             "horizon": num.horizon,
         },
-        "output": {"path": cfg.output.path, "format": cfg.output.format},
+        "output": {"path": cfg.output.path, "format": "csv"},
     }
 
 

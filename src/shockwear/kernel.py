@@ -55,27 +55,6 @@ def gamma_cdf(x: float, law: GammaLaw) -> float:
     return float(special.gammainc(law.shape, law.rate * x))
 
 
-def gamma_pdf(x: float, law: GammaLaw) -> float:
-    """Density of ``law`` at x; 0 for x < 0."""
-    if not math.isfinite(x):
-        raise ValueError(f"gamma_pdf requires finite x, got {x}")
-    if x < 0.0:
-        return 0.0
-    if x == 0.0:
-        # shape < 1 diverges at 0, shape == 1 equals rate; callers integrate
-        # from an open lower limit so only the finite cases matter here.
-        if law.shape < 1.0:
-            return math.inf
-        return law.rate if law.shape == 1.0 else 0.0
-    log_pdf = (
-        law.shape * math.log(law.rate)
-        + (law.shape - 1.0) * math.log(x)
-        - law.rate * x
-        - special.gammaln(law.shape)
-    )
-    return math.exp(log_pdf)
-
-
 def normal_cdf(x: float, law: NormalLaw) -> float:
     if not math.isfinite(x):
         raise ValueError(f"normal_cdf requires finite x, got {x}")
@@ -111,19 +90,6 @@ def facilitation_pmf(i: int, eta: float, big_lambda: float) -> float:
     log_comb = special.gammaln(inv_eta + i) - special.gammaln(i + 1.0) - special.gammaln(inv_eta)
     log_p = log_comb + i * math.log1p(-math.exp(-eta * big_lambda)) - big_lambda
     return float(math.exp(log_p))
-
-
-def facilitation_total_mass(eta: float, big_lambda: float, tail_tol: float = 1e-12,
-                            max_terms: int = 2_000_000) -> tuple[float, int]:
-    """Sum the facilitation pmf until the truncated mass is within tail_tol of 1
-    and the current term is negligible. Returns (mass, terms_used)."""
-    total = 0.0
-    for m in range(max_terms):
-        p = facilitation_pmf(m, eta, big_lambda)
-        total += p
-        if total >= 1.0 - tail_tol and p < 1e-14:
-            return total, m + 1
-    return total, max_terms
 
 
 def iid_sum_normal(m: int, law: NormalLaw) -> NormalLaw:

@@ -24,6 +24,7 @@ from .simulate import ModelParams, run_replications
 _Z95 = 1.959963984540054
 _PMF_TAIL_TOL = 1e-10  # truncation of the count-law sum in the analytic path
 _QUAD_TOL = 1e-9       # absolute tolerance per damage-convolution integral
+_MAX_TERMS = 200_000   # count terms the analytic sum may take before it gives up
 # The engine clamps negative jumps to 0 and the oracle convolves unclamped
 # normal sums; their curves differ by at most E[N(t)] * P(Y < 0), so the oracle
 # accepts a jump law only while P(Y < 0) is far below any Monte Carlo error.
@@ -43,8 +44,9 @@ class ReliabilityCurve:
     hard_count: np.ndarray
 
 
-def wilson_interval(successes: np.ndarray, n: int, z: float = _Z95) -> tuple[np.ndarray, np.ndarray]:
-    """Score interval for a binomial proportion; stays sane near 0 and 1."""
+def wilson_interval(successes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """95% score interval for a binomial proportion; stays sane near 0 and 1."""
+    z = _Z95
     s = np.asarray(successes, dtype=float)
     p = s / n
     denom = 1.0 + z * z / n
@@ -124,7 +126,7 @@ def _require_decoupled(params: ModelParams) -> None:
         )
 
 
-def analytic_reliability(params: ModelParams, t: float, m_max: int | None = None) -> float:
+def analytic_reliability(params: ModelParams, t: float) -> float:
     """Survival probability at t for the decoupled case, summed over shock counts.
 
     Term m is: (no hard failure)^m * P(m shocks) * P(wear + m jumps < H), the
@@ -149,7 +151,6 @@ def analytic_reliability(params: ModelParams, t: float, m_max: int | None = None
     cum_pmf = 0.0
     tiny_run = 0
     m = 0
-    cap = m_max if m_max is not None else 200_000
     while True:
         p_m = facilitation_pmf(m, shk.eta, big_lambda)
         if m == 0:
@@ -173,27 +174,12 @@ def analytic_reliability(params: ModelParams, t: float, m_max: int | None = None
             break
         if tiny_run >= 2:
             break  # extra jumps only push wear further past the threshold
-        if m > cap:
-            if m_max is not None:
-                break
+        if m > _MAX_TERMS:
             raise UnsupportedConfigError(
-                "analytic reliability did not truncate within 200000 count terms; "
+                f"analytic reliability did not truncate within {_MAX_TERMS} count terms; "
                 "this jump law keeps the wear factor from decaying"
             )
     return min(total, 1.0)
-
-
-def analytic_no_shock_term(params: ModelParams, t: float) -> float:
-    """The zero-shock contribution: P(pure wear < H) * P(no shock by t)."""
-    _require_decoupled(params)
-    if t < 0.0 or not math.isfinite(t):
-        raise ValueError(f"t must be finite and >= 0, got {t}")
-    if t == 0.0:
-        return 1.0
-    deg = params.degradation
-    shk = params.shock
-    glaw = GammaLaw(deg.alpha1 * t, deg.beta)
-    return gamma_cdf(deg.soft_threshold, glaw) * facilitation_pmf(0, shk.eta, shk.lambda0 * t)
 
 
 def apply_sweep_value(params: ModelParams, parameter: str, value: float) -> ModelParams:

@@ -1,13 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
 from shockwear import (
     DegradationParams,
+    GammaLaw,
     ModelParams,
     NormalLaw,
     Numerics,
     ShockParams,
 )
+from shockwear.kernel import facilitation_pmf
 
 # Benchmark valve-wear parameterization used throughout: wear threshold 5 mm,
 # hard/damage shock thresholds 40/30 N, gamma shape rates 0.5 -> 0.9 at
@@ -34,6 +38,29 @@ def make_params(*, H=VALVE["H"], D1=VALVE["D1"], D0=VALVE["D0"],
                           magnitude_law=W, damage_threshold=D0, hard_threshold=D1),
         numerics=Numerics(dt=dt, horizon=horizon),
     )
+
+
+def gamma_density(x: float, law: GammaLaw) -> float:
+    """Density of ``law`` at x >= 0, an integrand for quadrature checks of
+    gamma_cdf. At x = 0 it is the limit from the right."""
+    if x == 0.0:
+        if law.shape == 1.0:
+            return law.rate
+        return 0.0 if law.shape > 1.0 else math.inf
+    return math.exp(law.shape * math.log(law.rate) + (law.shape - 1.0) * math.log(x)
+                    - law.rate * x - math.lgamma(law.shape))
+
+
+def facilitation_mass(eta: float, big_lambda: float, tail_tol: float = 1e-12) -> float:
+    """The facilitation pmf summed from 0 until the mass is within tail_tol
+    of 1 and the current term is below 1e-14 (at most two million terms)."""
+    total = 0.0
+    for m in range(2_000_000):
+        p = facilitation_pmf(m, eta, big_lambda)
+        total += p
+        if total >= 1.0 - tail_tol and p < 1e-14:
+            break
+    return total
 
 
 @pytest.fixture(scope="session")

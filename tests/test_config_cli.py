@@ -98,6 +98,14 @@ class TestConfigParsing:
             parse_config(valve_doc(**{field: value}))
         assert "Params." not in str(err.value)
 
+    def test_output_format_key_is_optional(self, tmp_path, capsys):
+        # CSV is the only format; the key may be left out and is echoed as csv
+        cfg = parse_config(valve_doc(**{"output.format": None}))
+        assert cfg == parse_config(valve_doc())
+        path = write_config(tmp_path, valve_doc(**{"output.format": None}))
+        assert main(["curve", "--config", path, "--print-config"]) == 0
+        assert json.loads(capsys.readouterr().out)["output"] == {"path": "out.csv", "format": "csv"}
+
     def test_theta_block(self):
         cfg = parse_config(valve_doc(**{"model.theta": {"shape": 20.0, "rate": 20.0}}))
         assert cfg.model.degradation.theta_law is not None
@@ -207,6 +215,17 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert "lambda0" in err and "D0" in err
 
+    @pytest.mark.parametrize("parameter, value, names", [
+        ("gamma", "nan", ["model.gamma"]),
+        ("D0", "50", ["model.D0", "model.D1"]),
+    ])
+    def test_invalid_value_named_by_config_key(self, tmp_path, capsys, parameter, value, names):
+        cfg = write_config(tmp_path, valve_doc(**{"output.path": str(tmp_path / "s.csv")}))
+        assert main(["sweep", parameter, value, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert all(name in err for name in names) and "Params." not in err
+
 
 class TestValidateCommand:
     def decoupled_doc(self, **kw):
@@ -225,6 +244,20 @@ class TestValidateCommand:
         assert main(["validate", "--config", cfg, "--tol", "0"]) == 4
         out = capsys.readouterr().out
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--tol", "inf"), ("--tol", "nan"), ("--tol", "-1"),
+        ("--abs-tol", "inf"), ("--abs-tol", "nan"), ("--abs-tol", "-5"),
+        ("--times", "1,9"), ("--times", "-1"), ("--times", "nan"),
+    ])
+    def test_bad_flag_refused_before_oracle(self, tmp_path, capsys, monkeypatch, flag, value):
+        def oracle(*args, **kwargs):
+            raise AssertionError("the oracle ran before the flags were checked")
+        monkeypatch.setattr(shockwear.cli, "analytic_reliability", oracle)
+        monkeypatch.setattr(shockwear.reliability, "run_replications", oracle)
+        cfg = write_config(tmp_path, self.decoupled_doc())
+        assert main(["validate", "--config", cfg, flag, value]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {flag}")
 
     def test_coupled_config_refused(self, tmp_path, capsys):
         cfg = write_config(tmp_path, self.decoupled_doc(**{"model.gamma": 0.001}))

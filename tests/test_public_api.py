@@ -1,6 +1,8 @@
-"""Guards on names that tooling outside the package binds to.
+"""Guards on the public surface and on names that tooling outside the
+package binds to.
 
-The span tracer in perfbench/tracing.py replaces each ``(module, name)`` in
+``__all__`` is what the README documents and what the CLI and the benchmark
+use. The span tracer in perfbench/tracing.py replaces each ``(module, name)`` in
 its WRAPPED table with a timing wrapper, so every one must stay a global that
 its module looks up at call time, and it binds engine calls' arguments by
 parameter name. A rename breaks traced benchmark runs and nothing else.
@@ -9,6 +11,7 @@ parameter name. A rename breaks traced benchmark runs and nothing else.
 import importlib
 import importlib.util
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -16,7 +19,17 @@ import pytest
 import shockwear
 from shockwear import run_replications, simulate_paths, step_count
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
+
+PUBLIC = {
+    "DegradationParams", "ShockParams", "ModelParams", "Numerics", "NormalLaw", "GammaLaw",
+    "ReliabilityCurve", "ReplicationOutcome",
+    "estimate_reliability", "analytic_reliability", "sweep", "SWEEPABLE",
+    "simulate_replication", "run_replications", "simulate_paths", "step_count",
+    "ConfigError", "StepSizeError", "UnsupportedConfigError", "IntegrationError",
+    "MAX_RATE_DT",
+}
 
 
 def _wrapped():
@@ -30,6 +43,18 @@ def test_all_names_resolve_once():
     assert len(shockwear.__all__) == len(set(shockwear.__all__))
     for name in shockwear.__all__:
         assert getattr(shockwear, name) is not None, name
+
+
+def test_all_is_the_public_surface():
+    assert set(shockwear.__all__) == PUBLIC
+
+
+def test_readme_imports_only_public_names():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"from shockwear import \(([^)]*)\)", readme)
+    assert blocks, "README has no `from shockwear import (...)` block"
+    names = {name.strip() for block in blocks for name in block.split(",") if name.strip()}
+    assert names <= set(shockwear.__all__), names - set(shockwear.__all__)
 
 
 @pytest.mark.parametrize("module_name, attr", _wrapped())

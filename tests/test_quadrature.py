@@ -2,8 +2,10 @@ import math
 
 import pytest
 
-from shockwear import GammaLaw, IntegrationError, gamma_cdf, gamma_pdf, integrate, normal_pdf
-from shockwear.kernel import NormalLaw
+from shockwear import GammaLaw, IntegrationError, NormalLaw
+from shockwear.kernel import gamma_cdf, normal_pdf
+from shockwear.quadrature import integrate
+from tests.conftest import gamma_density
 
 
 def test_linear():
@@ -18,7 +20,7 @@ def test_half_gaussian():
 def test_gamma_density_matches_cdf():
     # shape alpha1 * t at t=4 with the valve's rate
     law = GammaLaw(2.0, 1.2)
-    est = integrate(lambda x: gamma_pdf(x, law), 0.0, 5.0, tol=1e-10)
+    est = integrate(lambda x: gamma_density(x, law), 0.0, 5.0, tol=1e-10)
     assert est == pytest.approx(gamma_cdf(5.0, law), abs=1e-8)
 
 

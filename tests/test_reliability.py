@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -7,15 +5,12 @@ from shockwear import (
     GammaLaw,
     NormalLaw,
     UnsupportedConfigError,
-    analytic_no_shock_term,
     analytic_reliability,
-    apply_sweep_value,
     estimate_reliability,
-    facilitation_pmf,
-    gamma_cdf,
     sweep,
-    wilson_interval,
 )
+from shockwear.kernel import facilitation_pmf, gamma_cdf
+from shockwear.reliability import apply_sweep_value, wilson_interval
 from tests.conftest import make_params
 
 
@@ -80,24 +75,19 @@ class TestWilson:
 class TestAnalytic:
     def test_time_zero(self):
         assert analytic_reliability(decoupled(), 0.0) == 1.0
-        assert analytic_no_shock_term(decoupled(), 0.0) == 1.0
 
     def test_no_shock_limit_is_pure_gamma(self):
         p = decoupled(lambda0=0.0)
         want = gamma_cdf(5.0, GammaLaw(2.0, 1.2))
         assert analytic_reliability(p, 4.0) == pytest.approx(want, abs=1e-12)
 
-    def test_no_shock_term_factors(self):
-        p = decoupled(lambda0=0.25)  # lambda0 * t = 1 at t=4
-        term = analytic_no_shock_term(p, 4.0)
-        base = gamma_cdf(5.0, GammaLaw(2.0, 1.2))
-        assert term / base == pytest.approx(math.exp(-1.0), abs=1e-12)
-
-    def test_no_shock_term_equals_first_summand(self):
-        p = decoupled()
-        t = 4.0
-        m0 = gamma_cdf(5.0, GammaLaw(2.0, 1.2)) * facilitation_pmf(0, 0.2, 2.0)
-        assert analytic_no_shock_term(p, t) == m0
+    def test_all_fatal_shocks_leave_the_no_shock_term(self):
+        # W ~ N(1000, 1) never stays below D1 = 40, so every summand with a
+        # shock is 0 and the survival is P(pure wear < H) * P(no shock by t),
+        # with lambda0 * t = 1 at t = 4
+        p = decoupled(lambda0=0.25, W=NormalLaw(1000.0, 1.0))
+        want = gamma_cdf(5.0, GammaLaw(2.0, 1.2)) * facilitation_pmf(0, 0.2, 1.0)
+        assert analytic_reliability(p, 4.0) == want
 
     def test_monotone_in_time(self):
         p = decoupled()
@@ -142,13 +132,6 @@ class TestAnalytic:
             want = analytic_reliability(p, t)
             half = 0.5 * (curve.ci_high[i] - curve.ci_low[i])
             assert abs(curve.estimate[i] - want) <= max(3 * half, 0.01)
-
-    def test_explicit_m_max_truncates(self):
-        p = decoupled()
-        full = analytic_reliability(p, 4.0)
-        head = analytic_reliability(p, 4.0, m_max=0)
-        assert head <= full
-        assert head == pytest.approx(analytic_no_shock_term(p, 4.0), abs=1e-15)
 
 
 class TestSweep:

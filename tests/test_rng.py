@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from numpy.random import PCG64, Generator, SeedSequence
 
-from shockwear import replication_stream
-from shockwear.rng import _BLOCK
+from shockwear.rng import _BLOCK, replication_stream
 
 SEEDS = [0, 1, 20260808, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 7]
 REPS = [0, 1, _BLOCK - 1, _BLOCK, 2**32 - 1, 2**32]

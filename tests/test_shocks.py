@@ -11,10 +11,10 @@ from shockwear import (
     NormalLaw,
     ShockParams,
     StepSizeError,
-    normal_cdf,
-    poisson_counts,
     run_replications,
 )
+from shockwear.kernel import normal_cdf
+from shockwear.shocks import poisson_counts
 from shockwear.simulate import _simulate_batch
 from tests.conftest import make_params
 

@@ -7,13 +7,11 @@ import pytest
 from shockwear import (
     GammaLaw,
     StepSizeError,
-    facilitation_pmf,
-    gamma_cdf,
-    normal_cdf,
     run_replications,
     simulate_paths,
     simulate_replication,
 )
+from shockwear.kernel import facilitation_pmf, gamma_cdf, normal_cdf
 from tests.conftest import make_params
 
 
