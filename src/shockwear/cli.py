@@ -4,7 +4,7 @@ Verbs: curve (survival curve CSV), sweep (one curve per parameter value,
 long-format CSV), validate (Monte Carlo vs the decoupled-case analytic
 oracle), paths (step-grid trajectory export). All output is deterministic
 given the config and seed. Exit codes: 0 success, 2 config error, 3 numeric
-guard violation, 4 validation failure.
+guard violation or oracle quadrature failure, 4 validation failure.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 
 from .config import RunConfig, _config_names, dump_config, load_config
-from .errors import ConfigError, StepSizeError
+from .errors import ConfigError, IntegrationError, StepSizeError
 from .reliability import (
     SWEEPABLE,
     analytic_reliability,
@@ -151,6 +151,9 @@ def cmd_validate(args) -> int:
         outside = [t for t in times if not 0.0 <= t <= horizon]
         if outside:
             raise ConfigError(f"--times: {outside[0]} lies outside [0, horizon={horizon}]")
+    elif not times:
+        raise ConfigError(f"--times: none of the default check times 1,2,4,8 lies within "
+                          f"run.horizon={horizon}; give --times")
     grid = np.array(sorted(times))
     analytic = [analytic_reliability(cfg.model, t) for t in grid]
     curve = estimate_reliability(cfg.model, grid, cfg.run.n_reps, cfg.run.master_seed)
@@ -276,6 +279,9 @@ def main(argv=None) -> int:
         return 2
     except StepSizeError as exc:
         print(f"numeric guard: {exc}", file=sys.stderr)
+        return 3
+    except IntegrationError as exc:
+        print(f"numeric error: {exc}", file=sys.stderr)
         return 3
 
 

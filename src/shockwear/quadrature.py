@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Callable
 
@@ -16,11 +17,15 @@ def _simpson(fa, fm, fb, a, b):
 
 def integrate(f: Callable[[float], float], a: float, b: float,
               tol: float = 1e-9, max_depth: int = 48) -> float:
-    """Adaptive Simpson estimate of the integral of f over [a, b].
+    """Globally adaptive Simpson estimate of the integral of f over [a, b].
 
-    The absolute error against the refined self-estimate is kept below tol.
-    Raises IntegrationError (with best_estimate attached) if any subinterval
-    still disagrees after max_depth halvings.
+    Each panel's error is estimated from Simpson's rule on it against the rule
+    on its two halves. The panel with the largest estimate is split until the
+    estimates sum to at most tol (the global strategy of QUADPACK's QAG,
+    Piessens et al. 1983), so the tolerance goes where the integrand needs it,
+    e.g. to an x**(a-1) endpoint. A panel made by max_depth halvings is not
+    split again; once such panels alone exceed tol, raises IntegrationError
+    with best_estimate attached.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"integration bounds must be finite, got [{a}, {b}]")
@@ -31,37 +36,43 @@ def integrate(f: Callable[[float], float], a: float, b: float,
     if a == b:
         return 0.0
 
-    total = 0.0
-    converged = True
+    def panel(x0, x1, f0, fm, f1, whole, depth):
+        """(-error, x0, x1, depth, f0, fl, fm, fr, f1, left, right, value): the
+        panel [x0, x1] with its quarter-point values and Simpson halves."""
+        xm = 0.5 * (x0 + x1)
+        fl, fr = f(0.5 * (x0 + xm)), f(0.5 * (xm + x1))
+        left = _simpson(f0, fl, fm, x0, xm)
+        right = _simpson(fm, fr, f1, xm, x1)
+        diff = left + right - whole
+        return (-abs(diff) / 15.0, x0, x1, depth, f0, fl, fm, fr, f1, left, right,
+                left + right + diff / 15.0)
+
+    heap = []    # panels that may still be split, largest error first
+    done = []    # panels made by max_depth halvings
     width = (b - a) / _INITIAL_PANELS
-    panel_tol = tol / _INITIAL_PANELS
     for p in range(_INITIAL_PANELS):
         lo = a + p * width
         hi = b if p == _INITIAL_PANELS - 1 else lo + width
-        mid = 0.5 * (lo + hi)
-        flo, fmid, fhi = f(lo), f(mid), f(hi)
-        whole = _simpson(flo, fmid, fhi, lo, hi)
-        # explicit stack: (lo, hi, flo, fmid, fhi, whole, tol, depth)
-        stack = [(lo, hi, flo, fmid, fhi, whole, panel_tol, 0)]
-        while stack:
-            x0, x1, f0, f1, f2, s, t, depth = stack.pop()
-            xm = 0.5 * (x0 + x1)
-            xl = 0.5 * (x0 + xm)
-            xr = 0.5 * (xm + x1)
-            fl, fr = f(xl), f(xr)
-            s_left = _simpson(f0, fl, f1, x0, xm)
-            s_right = _simpson(f1, fr, f2, xm, x1)
-            err = s_left + s_right - s
-            if abs(err) <= 15.0 * t or depth >= max_depth:
-                total += s_left + s_right + err / 15.0
-                if abs(err) > 15.0 * t:
-                    converged = False
+        flo, fmid, fhi = f(lo), f(0.5 * (lo + hi)), f(hi)
+        heap.append(panel(lo, hi, flo, fmid, fhi, _simpson(flo, fmid, fhi, lo, hi), 0))
+    heapq.heapify(heap)
+    err = -sum(item[0] for item in heap)
+    done_err = 0.0
+    while not err <= tol:  # a NaN error enters and raises
+        if done_err > tol or not heap or not math.isfinite(err):
+            raise IntegrationError(
+                f"quadrature did not converge to tol={tol:g} within {max_depth} subdivisions",
+                best_estimate=sum(item[-1] for item in heap + done),
+            )
+        neg_err, x0, x1, depth, f0, fl, fm, fr, f1, left, right, _ = heapq.heappop(heap)
+        err += neg_err
+        xm = 0.5 * (x0 + x1)
+        for child in (panel(x0, xm, f0, fl, fm, left, depth + 1),
+                      panel(xm, x1, fm, fr, f1, right, depth + 1)):
+            err -= child[0]
+            if depth + 1 >= max_depth:
+                done.append(child)
+                done_err -= child[0]
             else:
-                stack.append((x0, xm, f0, fl, f1, s_left, 0.5 * t, depth + 1))
-                stack.append((xm, x1, f1, fr, f2, s_right, 0.5 * t, depth + 1))
-    if not converged:
-        raise IntegrationError(
-            f"quadrature did not converge to tol={tol:g} within {max_depth} subdivisions",
-            best_estimate=total,
-        )
-    return total
+                heapq.heappush(heap, child)
+    return math.fsum(item[-1] for item in heap + done)

@@ -12,11 +12,11 @@ from .config import MODEL_KEYS
 from .errors import UnsupportedConfigError
 from .kernel import (
     GammaLaw,
+    NormalLaw,
     facilitation_pmf,
     gamma_cdf,
     iid_sum_normal,
     normal_cdf,
-    normal_pdf,
 )
 from .quadrature import integrate
 from .simulate import ModelParams, run_replications
@@ -126,14 +126,52 @@ def _require_decoupled(params: ModelParams) -> None:
         )
 
 
+def _wear_below(h: float, wear: GammaLaw, m: int, jump_law: NormalLaw) -> float:
+    """P(X + S < h, S >= 0) for pure wear X ~ ``wear`` and S the sum of m >= 1
+    jumps drawn from ``jump_law``.
+
+    The density of X is integrated against P(0 <= S < h - x), which the
+    normal CDF gives in closed form, so no special function is evaluated
+    inside the quadrature. For a shape a < 1 the substitution v = x**a turns
+    the x**(a-1) endpoint into the bounded integrand
+    beta**a exp(-beta v**(1/a)) / Gamma(a+1). Wear x above h - (E[S] - 10 sd(S))
+    is skipped: there S < h - x needs a jump sum 10 standard deviations below
+    its mean.
+    """
+    jumps = iid_sum_normal(m, jump_law)
+    x_hi = h - max(0.0, jumps.mean - 10.0 * jumps.stdev)
+    if x_hi <= 0.0:
+        return 0.0
+    p_negative = normal_cdf(0.0, jumps)
+    a, beta = wear.shape, wear.rate
+    if a < 1.0:
+        log_c = a * math.log(beta) - math.lgamma(a + 1.0)
+        inv_a = 1.0 / a
+
+        def integrand(v):
+            x = v ** inv_a
+            return math.exp(log_c - beta * x) * (normal_cdf(h - x, jumps) - p_negative)
+
+        return integrate(integrand, 0.0, x_hi ** a, tol=_QUAD_TOL)
+
+    log_c = a * math.log(beta) - math.lgamma(a)
+    density_at_0 = beta if a == 1.0 else 0.0
+
+    def integrand(x):
+        density = math.exp(log_c + (a - 1.0) * math.log(x) - beta * x) if x > 0.0 else density_at_0
+        return density * (normal_cdf(h - x, jumps) - p_negative)
+
+    return integrate(integrand, 0.0, x_hi, tol=_QUAD_TOL)
+
+
 def analytic_reliability(params: ModelParams, t: float) -> float:
     """Survival probability at t for the decoupled case, summed over shock counts.
 
     Term m is: (no hard failure)^m * P(m shocks) * P(wear + m jumps < H), the
-    last factor a quadrature of the gamma CDF against the m-fold jump
-    convolution. Truncation stops when the count law's tail is negligible or
-    the wear factor has decayed to nothing. Coupled configurations are
-    refused rather than approximated.
+    last factor the gamma CDF at m = 0 and a quadrature of the wear density
+    against the jump-sum CDF otherwise (``_wear_below``). Truncation stops
+    when the count law's tail is negligible or the wear factor has decayed to
+    nothing. Coupled configurations are refused rather than approximated.
     """
     _require_decoupled(params)
     if t < 0.0 or not math.isfinite(t):
@@ -156,16 +194,7 @@ def analytic_reliability(params: ModelParams, t: float) -> float:
         if m == 0:
             wear_ok = gamma_cdf(h, glaw)
         else:
-            ylaw = iid_sum_normal(m, deg.jump_law)
-            lo = max(0.0, ylaw.mean - 10.0 * ylaw.stdev)
-            hi = min(h, ylaw.mean + 10.0 * ylaw.stdev)
-            if hi <= lo:
-                wear_ok = 0.0
-            else:
-                wear_ok = integrate(
-                    lambda y: gamma_cdf(h - y, glaw) * normal_pdf(y, ylaw),
-                    lo, hi, tol=_QUAD_TOL,
-                )
+            wear_ok = _wear_below(h, glaw, m, deg.jump_law)
             tiny_run = tiny_run + 1 if wear_ok < 1e-13 else 0
         total += (f_w**m) * p_m * wear_ok
         cum_pmf += p_m

@@ -42,13 +42,16 @@ identical randomness even when their parameters differ.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Literal
 
 import numpy as np
-from scipy.special import gammaincinv
 
 from .degradation import DegradationParams
 from .errors import StepSizeError
@@ -104,6 +107,35 @@ def step_count(horizon: float, dt: float) -> int:
     return n
 
 
+@functools.cache
+def _gammaincinv():
+    """scipy's ``gammaincinv`` ufunc, the inverse gamma CDF of the stream
+    contract, loaded on first use (a theta law or a rate change).
+
+    It is loaded from scipy's compiled module file alone: importing the
+    ``scipy.special`` package costs about 0.3 s and 19 MB (mostly its
+    array-API layer), the module about 2 ms and 1 MB, so a run that meets a
+    rate change takes about as long as one that does not. The ufunc is
+    scipy's own, so its values are too. Where that file is missing (another
+    scipy layout), the package is imported instead.
+    """
+    spec = importlib.util.find_spec("scipy")  # finds the package, does not import it
+    folders = spec.submodule_search_locations if spec is not None else None
+    for folder in folders or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(folder, "special", "_special_ufuncs" + suffix)
+            if os.path.isfile(path):
+                try:
+                    module_spec = importlib.util.spec_from_file_location("_special_ufuncs", path)
+                    module = importlib.util.module_from_spec(module_spec)
+                    module_spec.loader.exec_module(module)
+                    return module.gammaincinv
+                except (ImportError, AttributeError):
+                    pass
+    from scipy.special import gammaincinv
+    return gammaincinv
+
+
 class BatchResult:
     """Plain arrays for a contiguous range of replications."""
 
@@ -145,6 +177,7 @@ class _Batch:
 
         theta = np.ones(n)
         if deg.theta_law is not None:
+            gammaincinv = _gammaincinv()
             tl = deg.theta_law
             for j in range(n):
                 theta[j] = float(gammaincinv(tl.shape, self.path_gens[j].random())) / tl.rate
@@ -372,7 +405,7 @@ class _Batch:
     def _repath(self, path, g1, u2, ids, rows, j0, start) -> None:
         """Rebuild the pure paths of rate-changed ``rows`` from column j0 on,
         starting from ``start`` (their pure wear before column j0)."""
-        post = gammaincinv(self.shape_post[ids[rows], None], u2[rows, j0:]) * self.scale
+        post = _gammaincinv()(self.shape_post[ids[rows], None], u2[rows, j0:]) * self.scale
         if self.d_alpha > 0.0:
             # rounding as (pure + pre-change increment) + post-change increment
             inc = np.empty((rows.size, 2 * post.shape[1]))

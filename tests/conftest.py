@@ -51,6 +51,12 @@ def gamma_density(x: float, law: GammaLaw) -> float:
                     - law.rate * x - math.lgamma(law.shape))
 
 
+def normal_density(x: float, law: NormalLaw) -> float:
+    """Density of ``law`` at x, an integrand for quadrature checks."""
+    z = (x - law.mean) / law.stdev
+    return math.exp(-0.5 * z * z) / (law.stdev * math.sqrt(2.0 * math.pi))
+
+
 def facilitation_mass(eta: float, big_lambda: float, tail_tol: float = 1e-12) -> float:
     """The facilitation pmf summed from 0 until the mass is within tail_tol
     of 1 and the current term is below 1e-14 (at most two million terms)."""

@@ -2,15 +2,19 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import shockwear.cli
 import shockwear.reliability
-from shockwear import ConfigError
+from shockwear import ConfigError, IntegrationError
 from shockwear.cli import main
 from shockwear.config import config_to_dict, dump_config, load_config, parse_config
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "perfbench" / "configs"
 
 
 def valve_doc(**overrides):
@@ -259,6 +263,33 @@ class TestValidateCommand:
         assert main(["validate", "--config", cfg, flag, value]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {flag}")
 
+    def test_small_times_converge(self, capsys):
+        # the wear shape alpha1*t is 0.125 to 0.375 here, where the oracle's
+        # quadrature once failed to converge
+        cfg = str(CONFIGS / "decoupled.json")
+        assert main(["validate", "--config", cfg, "--times", "0.25,0.5,0.75",
+                     "--reps", "2000"]) == 0
+        assert "PASS" in capsys.readouterr().out
+
+    def test_quadrature_failure_is_numeric_error(self, tmp_path, capsys, monkeypatch):
+        def integrate(*args, **kwargs):
+            raise IntegrationError("quadrature did not converge", best_estimate=0.5)
+        monkeypatch.setattr(shockwear.reliability, "integrate", integrate)
+        cfg = write_config(tmp_path, self.decoupled_doc())
+        assert main(["validate", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert err == "numeric error: quadrature did not converge\n"
+
+    def test_short_horizon_needs_times(self, tmp_path, capsys):
+        # no default check time (1, 2, 4, 8) lies within a horizon of 0.5
+        doc = json.loads((CONFIGS / "decoupled.json").read_text())
+        doc["run"].update(horizon=0.5, grid={"start": 0.0, "stop": 0.5, "points": 3})
+        cfg = write_config(tmp_path, doc)
+        assert main(["validate", "--config", cfg, "--reps", "100"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --times") and "run.horizon" in err
+        assert main(["validate", "--config", cfg, "--reps", "100", "--times", "0.5"]) == 0
+
     def test_coupled_config_refused(self, tmp_path, capsys):
         cfg = write_config(tmp_path, self.decoupled_doc(**{"model.gamma": 0.001}))
         assert main(["validate", "--config", cfg]) == 2
@@ -389,3 +420,32 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
+
+    def test_scipy_stays_out(self, tmp_path):
+        # scipy.special is most of the start-up time. The inverse gamma CDF
+        # that theta laws and rate changes need is loaded without it; the last
+        # two runs use it.
+        theta = write_config(tmp_path, valve_doc(**{"run.n_reps": 200,
+                                                    "model.theta": {"shape": 20.0, "rate": 20.0}}))
+        aggressive = write_config(tmp_path, aggressive_doc(), name="aggressive.json")
+        script = f"""
+import sys
+import shockwear.cli
+loaded = ["scipy" in sys.modules]
+def run(*argv):
+    assert shockwear.cli.main(list(argv)) == 0, argv
+    loaded.append("scipy" in sys.modules)
+configs, out = {str(CONFIGS)!r}, {str(tmp_path / "out.csv")!r}
+run("validate", "--config", configs + "/decoupled.json", "--reps", "500")
+run("curve", "--config", configs + "/valve_coarse.json", "--reps", "500", "--out", out)
+run("sweep", "gamma", "0,0.001,0.01", "--config", configs + "/valve_coarse.json",
+    "--reps", "500", "--out", out)
+run("paths", "5", "--config", configs + "/valve.json", "--out", out)
+run("curve", "--config", {theta!r}, "--out", out)
+run("paths", "40", "--config", {aggressive!r}, "--out", out)
+assert any(line.rstrip().endswith(",1") for line in open(out))  # a rate change
+print(loaded)
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == str([False] * 7)

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from shockwear import GammaLaw, NormalLaw
-from shockwear.kernel import facilitation_pmf, gamma_cdf, iid_sum_normal, normal_cdf, normal_pdf
+from shockwear.kernel import facilitation_pmf, gamma_cdf, iid_sum_normal, normal_cdf
 from shockwear.quadrature import integrate
-from tests.conftest import facilitation_mass, gamma_density
+from tests.conftest import facilitation_mass, gamma_density, normal_density
 
 
 class TestLaws:
@@ -76,7 +77,7 @@ class TestNormalCdf:
         got = normal_cdf(30.0, law)
         assert got == pytest.approx(0.99996833, abs=5e-9)
         # quadrature oracle: 0.5 + integral of the density from mean to x
-        oracle = 0.5 + integrate(lambda v: normal_pdf(v, law), 10.0, 30.0, tol=1e-13)
+        oracle = 0.5 + integrate(lambda v: normal_density(v, law), 10.0, 30.0, tol=1e-13)
         assert got == pytest.approx(oracle, abs=1e-12)
 
     def test_symmetry_identity(self):
@@ -146,6 +147,38 @@ class TestFacilitationPmf:
             facilitation_pmf(-1, 0.2, 1.0)
         with pytest.raises(ValueError):
             facilitation_pmf(1, 0.2, -2.0)
+
+
+class TestAgainstScipy:
+    """The kernel's special functions, computed without scipy, against scipy's."""
+
+    @pytest.mark.parametrize("shape", np.geomspace(1e-3, 1e3, 19))
+    def test_gamma_cdf(self, shape):
+        # values of x on both sides of the series/continued-fraction switch at
+        # rate*x = shape + 1, out to the far tails. At shape 1e3, a prefactor
+        # built on lgamma alone errs by 6e-13, so 1e-13 also checks the
+        # Stirling form used from shape 10 up.
+        law = GammaLaw(shape, 1.2)
+        fractions = np.concatenate([np.geomspace(1e-6, 0.999, 25), [1.0],
+                                    np.linspace(1.001, 3.0, 25), [5.0, 20.0]])
+        for z in sorted(set(fractions * (shape + 1.0)) | {shape, shape + math.sqrt(shape)}):
+            x = z / law.rate
+            assert gamma_cdf(x, law) == pytest.approx(special.gammainc(shape, z), abs=1e-13), x
+
+    def test_normal_cdf(self):
+        law = NormalLaw(3.0, 2.0)
+        for z in np.linspace(-37.0, 9.0, 461):
+            want = special.ndtr(z)
+            assert normal_cdf(3.0 + 2.0 * z, law) == pytest.approx(want, rel=1e-12, abs=1e-300), z
+
+    @pytest.mark.parametrize("eta", [0.05, 0.2, 1.0, 5.0])
+    @pytest.mark.parametrize("lam", [0.1, 1.0, 10.0])
+    def test_facilitation_pmf(self, eta, lam):
+        r = 1.0 / eta
+        for i in range(61):
+            log_p = (special.gammaln(r + i) - special.gammaln(i + 1.0) - special.gammaln(r)
+                     + i * math.log1p(-math.exp(-eta * lam)) - lam)
+            assert facilitation_pmf(i, eta, lam) == pytest.approx(math.exp(log_p), rel=1e-12), i
 
 
 class TestGammaSampler:

@@ -3,9 +3,9 @@ import math
 import pytest
 
 from shockwear import GammaLaw, IntegrationError, NormalLaw
-from shockwear.kernel import gamma_cdf, normal_pdf
+from shockwear.kernel import gamma_cdf
 from shockwear.quadrature import integrate
-from tests.conftest import gamma_density
+from tests.conftest import gamma_density, normal_density
 
 
 def test_linear():
@@ -14,7 +14,7 @@ def test_linear():
 
 def test_half_gaussian():
     std = NormalLaw(0.0, 1.0)
-    assert integrate(lambda x: normal_pdf(x, std), 0.0, 40.0, tol=1e-11) == pytest.approx(0.5, abs=1e-10)
+    assert integrate(lambda x: normal_density(x, std), 0.0, 40.0, tol=1e-11) == pytest.approx(0.5, abs=1e-10)
 
 
 def test_gamma_density_matches_cdf():
@@ -44,3 +44,8 @@ def test_nonconvergence_carries_best_estimate():
         integrate(f, 0.0, 1.0, tol=1e-13, max_depth=3)
     best = exc_info.value.best_estimate
     assert best is not None and math.isfinite(best)
+
+
+def test_nan_integrand_raises():
+    with pytest.raises(IntegrationError):
+        integrate(lambda x: math.nan if x > 0.5 else x, 0.0, 1.0)

@@ -1,5 +1,9 @@
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy import integrate, special
 
 from shockwear import (
     GammaLaw,
@@ -9,9 +13,12 @@ from shockwear import (
     estimate_reliability,
     sweep,
 )
+from shockwear.config import load_config
 from shockwear.kernel import facilitation_pmf, gamma_cdf
-from shockwear.reliability import apply_sweep_value, wilson_interval
+from shockwear.reliability import _wear_below, apply_sweep_value, wilson_interval
 from tests.conftest import make_params
+
+DECOUPLED_JSON = Path(__file__).resolve().parent.parent / "perfbench" / "configs" / "decoupled.json"
 
 
 def decoupled(**kw):
@@ -88,6 +95,45 @@ class TestAnalytic:
         p = decoupled(lambda0=0.25, W=NormalLaw(1000.0, 1.0))
         want = gamma_cdf(5.0, GammaLaw(2.0, 1.2)) * facilitation_pmf(0, 0.2, 1.0)
         assert analytic_reliability(p, 4.0) == want
+
+    # analytic_reliability on perfbench/configs/decoupled.json at t = 1, 2, 4, 8
+    # when the oracle convolved the gamma CDF against the jump-sum density
+    PINNED = {1.0: 0.9982678348046121, 2.0: 0.971908645347567,
+              4.0: 0.59896576473022, 8.0: 0.024713504884259656}
+
+    def test_pinned_decoupled_values(self):
+        p = load_config(str(DECOUPLED_JSON)).model
+        for t, want in self.PINNED.items():
+            assert analytic_reliability(p, t) == pytest.approx(want, abs=1e-9), t
+
+    @staticmethod
+    def _quad_wear_term(h, a, beta, m, jumps):
+        """P(X + S_m < h, S_m >= 0) the other way round: scipy's gamma CDF of
+        h - y against the density of the jump sum y, integrated by QUADPACK."""
+        mean, sd = m * jumps.mean, math.sqrt(m) * jumps.stdev
+        lo, hi = max(0.0, mean - 12.0 * sd), min(h, mean + 12.0 * sd)
+        if hi <= lo:
+            return 0.0
+
+        def f(y):
+            z = (y - mean) / sd
+            return special.gammainc(a, beta * (h - y)) * math.exp(-0.5 * z * z) / (
+                sd * math.sqrt(2.0 * math.pi))
+
+        points = [mean] if lo < mean < hi else None
+        return integrate.quad(f, lo, hi, epsabs=1e-14, epsrel=1e-13, limit=1000,
+                              points=points)[0]
+
+    @pytest.mark.parametrize("a", [0.005, 0.05, 0.3, 0.7, 1.0, 1.2, 1.5, 1.9, 3.0, 8.0,
+                                   20.0, 60.0])
+    def test_wear_terms_against_quadpack(self, a):
+        # wear shape a = alpha1 * t; the rate keeps the mean wear a/beta at
+        # most 3, below H = 5, so the terms of few shocks carry mass at every a
+        beta = max(1.2, a / 3.0)
+        jumps = NormalLaw(0.5, 0.1)
+        for m in range(1, 13):
+            want = self._quad_wear_term(5.0, a, beta, m, jumps)
+            assert _wear_below(5.0, GammaLaw(a, beta), m, jumps) == pytest.approx(want, abs=1e-8), m
 
     def test_monotone_in_time(self):
         p = decoupled()

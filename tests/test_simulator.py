@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from shockwear import (
     simulate_paths,
     simulate_replication,
 )
+from shockwear import simulate
 from shockwear.kernel import facilitation_pmf, gamma_cdf, normal_cdf
 from tests.conftest import make_params
 
@@ -209,3 +211,20 @@ class TestStreamContract:
     def test_pinned_digest(self, params, horizon, dt, seed, digest):
         ftime, mode = run_replications(params, horizon, dt, seed, 500)
         assert hashlib.sha256(ftime.tobytes() + mode.tobytes()).hexdigest() == digest
+
+    def test_inverse_cdf_is_scipys(self):
+        # the ufunc loaded from scipy's module file gives scipy.special's bits
+        from scipy.special import gammaincinv
+
+        rng = np.random.default_rng(3)
+        shape = np.concatenate([rng.uniform(1e-4, 1.0, 5000), rng.uniform(1.0, 50.0, 5000)])
+        u = rng.random(shape.size)
+        u[:3] = 0.0, 0.5, 0.95  # zero, and both sides of the p > 0.9 branch
+        got = simulate._gammaincinv()(shape, u)
+        assert got.tobytes() == gammaincinv(shape, u).tobytes()
+
+    def test_inverse_cdf_falls_back_to_the_package(self, monkeypatch):
+        from scipy.special import gammaincinv
+
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+        assert simulate._gammaincinv.__wrapped__() is gammaincinv
