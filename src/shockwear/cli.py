@@ -82,13 +82,6 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     return replace(cfg, model=model, run=run, output=out)
 
 
-def _load(args) -> RunConfig:
-    cfg = _apply_overrides(load_config(args.config), args)
-    if args.print_config:
-        sys.stdout.write(dump_config(cfg))
-    return cfg
-
-
 def _curve_rows(curve) -> Iterable[str]:
     for i, t in enumerate(curve.grid):
         surviving = curve.n_reps - int(curve.soft_count[i]) - int(curve.hard_count[i])
@@ -99,10 +92,7 @@ def _curve_rows(curve) -> Iterable[str]:
         ]) + "\n"
 
 
-def cmd_curve(args) -> int:
-    cfg = _load(args)
-    if args.print_config:
-        return 0
+def cmd_curve(cfg: RunConfig, args) -> int:
     path = _output_path(cfg)
     curve = estimate_reliability(
         cfg.model, cfg.run.grid.times(), cfg.run.n_reps, cfg.run.master_seed,
@@ -112,10 +102,7 @@ def cmd_curve(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    cfg = _load(args)
-    if args.print_config:
-        return 0
+def cmd_sweep(cfg: RunConfig, args) -> int:
     try:
         values = [float(v) for v in args.values.split(",") if v.strip() != ""]
     except ValueError as exc:
@@ -134,10 +121,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_validate(args) -> int:
-    cfg = _load(args)
-    if args.print_config:
-        return 0
+def cmd_validate(cfg: RunConfig, args) -> int:
     for flag, value in (("--tol", args.tol), ("--abs-tol", args.abs_tol)):
         if value is not None and not (math.isfinite(value) and value >= 0.0):
             raise ConfigError(f"{flag} must be finite and >= 0, got {value}")
@@ -208,12 +192,7 @@ def _path_chunks(outcomes, stride: int) -> Iterable[str]:
         yield "".join(lines)
 
 
-def cmd_paths(args) -> int:
-    cfg = _load(args)
-    if args.print_config:
-        return 0
-    if args.k < 1:
-        raise ConfigError("k must be >= 1")
+def cmd_paths(cfg: RunConfig, args) -> int:
     if args.stride < 1:
         raise ConfigError("--stride must be >= 1")
     path = _output_path(cfg)
@@ -270,10 +249,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Load the config and apply the overrides for every verb; echo it on
+    --print-config before any verb-specific check, else run the verb on it."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        cfg = _apply_overrides(load_config(args.config), args)
+        if args.print_config:
+            sys.stdout.write(dump_config(cfg))
+            return 0
+        return args.func(cfg, args)
     except ValueError as exc:  # ConfigError, UnsupportedConfigError and model range errors
         print(f"config error: {exc}", file=sys.stderr)
         return 2

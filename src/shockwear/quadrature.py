@@ -9,23 +9,26 @@ from typing import Callable
 from .errors import IntegrationError
 
 _INITIAL_PANELS = 8
+_MAX_DEPTH = 48  # halvings after which a panel is not split again
 
 
 def _simpson(fa, fm, fb, a, b):
     return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
 
-def integrate(f: Callable[[float], float], a: float, b: float,
-              tol: float = 1e-9, max_depth: int = 48) -> float:
+def integrate(f: Callable[[float], float], a: float, b: float, tol: float = 1e-9) -> float:
     """Globally adaptive Simpson estimate of the integral of f over [a, b].
 
-    Each panel's error is estimated from Simpson's rule on it against the rule
-    on its two halves. The panel with the largest estimate is split until the
-    estimates sum to at most tol (the global strategy of QUADPACK's QAG,
-    Piessens et al. 1983), so the tolerance goes where the integrand needs it,
-    e.g. to an x**(a-1) endpoint. A panel made by max_depth halvings is not
-    split again; once such panels alone exceed tol, raises IntegrationError
-    with best_estimate attached.
+    Each panel's error is estimated as |S2 - S1|, Simpson's rule on its two
+    halves against the rule on the whole panel. The panel with the largest
+    estimate is split until the estimates sum to at most tol (the global
+    strategy of QUADPACK's QAG, Piessens et al. 1983), so the tolerance goes
+    where the integrand needs it, e.g. to an x**(a-1) endpoint. The value is
+    extrapolated as S2 + (S2 - S1)/15, but the error is not divided by 15:
+    that factor holds only where f is smooth on the panel, and at an x**p
+    endpoint it under-reports the error. A panel made by _MAX_DEPTH
+    halvings is not split again; once such panels alone exceed tol, raises
+    IntegrationError with best_estimate attached.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"integration bounds must be finite, got [{a}, {b}]")
@@ -44,11 +47,11 @@ def integrate(f: Callable[[float], float], a: float, b: float,
         left = _simpson(f0, fl, fm, x0, xm)
         right = _simpson(fm, fr, f1, xm, x1)
         diff = left + right - whole
-        return (-abs(diff) / 15.0, x0, x1, depth, f0, fl, fm, fr, f1, left, right,
+        return (-abs(diff), x0, x1, depth, f0, fl, fm, fr, f1, left, right,
                 left + right + diff / 15.0)
 
     heap = []    # panels that may still be split, largest error first
-    done = []    # panels made by max_depth halvings
+    done = []    # panels made by _MAX_DEPTH halvings
     width = (b - a) / _INITIAL_PANELS
     for p in range(_INITIAL_PANELS):
         lo = a + p * width
@@ -61,7 +64,7 @@ def integrate(f: Callable[[float], float], a: float, b: float,
     while not err <= tol:  # a NaN error enters and raises
         if done_err > tol or not heap or not math.isfinite(err):
             raise IntegrationError(
-                f"quadrature did not converge to tol={tol:g} within {max_depth} subdivisions",
+                f"quadrature did not converge to tol={tol:g} within {_MAX_DEPTH} subdivisions",
                 best_estimate=sum(item[-1] for item in heap + done),
             )
         neg_err, x0, x1, depth, f0, fl, fm, fr, f1, left, right, _ = heapq.heappop(heap)
@@ -70,7 +73,7 @@ def integrate(f: Callable[[float], float], a: float, b: float,
         for child in (panel(x0, xm, f0, fl, fm, left, depth + 1),
                       panel(xm, x1, fm, fr, f1, right, depth + 1)):
             err -= child[0]
-            if depth + 1 >= max_depth:
+            if depth + 1 >= _MAX_DEPTH:
                 done.append(child)
                 done_err -= child[0]
             else:

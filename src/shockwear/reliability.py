@@ -78,14 +78,9 @@ def estimate_reliability(params: ModelParams, grid, n_reps: int,
     num = params.numerics
     grid = _check_grid(grid, num.horizon)
     ftime, mode = run_replications(params, num.horizon, num.dt, master_seed, n_reps)
-    surv = np.empty(grid.size, dtype=np.int64)
-    soft = np.empty(grid.size, dtype=np.int64)
-    hard = np.empty(grid.size, dtype=np.int64)
-    for i, t in enumerate(grid):
-        gone = ftime <= t
-        surv[i] = n_reps - int(gone.sum())
-        soft[i] = int((gone & (mode == 1)).sum())
-        hard[i] = int((gone & (mode == 2)).sum())
+    soft, hard = (np.searchsorted(np.sort(ftime[mode == m]), grid, side="right")
+                  for m in (1, 2))
+    surv = n_reps - soft - hard  # every failure is soft or hard; survivors carry inf
     lo, hi = wilson_interval(surv, n_reps)
     return ReliabilityCurve(
         grid=grid,

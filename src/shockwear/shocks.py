@@ -55,26 +55,16 @@ def poisson_counts(mu: np.ndarray, u: np.ndarray) -> np.ndarray:
     mu = np.asarray(mu, dtype=float)
     u = np.asarray(u, dtype=float)
     counts = np.zeros(mu.shape, dtype=np.int64)
-    # exp(-mu) > 0.9 whenever mu <= 0.105, so u < 0.9 cannot produce an arrival
-    # there; restricting the inversion to the remaining elements is exact.
-    cand = (u >= 0.9) | (mu > 0.105)
-    if not cand.any():
-        return counts
-    idx = np.nonzero(cand)
-    mu_c = mu[idx]
-    u_c = u[idx]
-    c = np.zeros(mu_c.shape, dtype=np.int64)
-    term = np.exp(-mu_c)
+    term = np.exp(-mu)
     cdf = term.copy()
-    pending = u_c >= cdf
+    pending = u >= cdf
     k = 0
     while pending.any():
-        c[pending] += 1
+        counts[pending] += 1
         k += 1
         if k > _MAX_COUNT:
             break
-        term *= mu_c / k
+        term *= mu / k
         cdf += term
-        pending = u_c >= cdf
-    counts[idx] = c
+        pending = u >= cdf
     return counts

@@ -410,6 +410,15 @@ class TestOutputPath:
 
 
 class TestEntryPoint:
+    @pytest.mark.parametrize("verb", [["sweep", "gamma", "x"], ["paths", "0"],
+                                      ["validate", "--tol", "-1"]])
+    def test_print_config_precedes_verb_checks(self, tmp_path, capsys, verb):
+        # each verb's own arguments are invalid; --print-config echoes and exits first
+        cfg_path = write_config(tmp_path, valve_doc())
+        assert main([*verb, "--config", cfg_path, "--print-config"]) == 0
+        assert json.loads(capsys.readouterr().out) == config_to_dict(load_config(cfg_path))
+        assert main([*verb, "--config", cfg_path]) == 2
+
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "curve.csv"
         doc = valve_doc(**{"run.n_reps": 200, "output.path": str(out)})

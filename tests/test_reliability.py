@@ -135,6 +135,12 @@ class TestAnalytic:
             want = self._quad_wear_term(5.0, a, beta, m, jumps)
             assert _wear_below(5.0, GammaLaw(a, beta), m, jumps) == pytest.approx(want, abs=1e-8), m
 
+    def test_wear_term_at_a_power_endpoint_within_quad_tol(self):
+        # shape 1.2 puts an x**0.2 factor at the wear density's endpoint
+        jumps = NormalLaw(0.5, 0.1)
+        want = self._quad_wear_term(5.0, 1.2, 1.2, 12, jumps)
+        assert _wear_below(5.0, GammaLaw(1.2, 1.2), 12, jumps) == pytest.approx(want, abs=1e-9)
+
     def test_monotone_in_time(self):
         p = decoupled()
         vals = [analytic_reliability(p, t) for t in (0.0, 1.0, 2.0, 4.0, 8.0)]
