@@ -84,11 +84,10 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
 
 def _curve_rows(curve) -> Iterable[str]:
     for i, t in enumerate(curve.grid):
-        surviving = curve.n_reps - int(curve.soft_count[i]) - int(curve.hard_count[i])
         yield ",".join([
             _fmt(t), _fmt(curve.estimate[i]), _fmt(curve.ci_low[i]), _fmt(curve.ci_high[i]),
             str(curve.n_reps), str(int(curve.soft_count[i])), str(int(curve.hard_count[i])),
-            str(surviving),
+            str(int(curve.survived_count[i])),
         ]) + "\n"
 
 

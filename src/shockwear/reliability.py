@@ -19,7 +19,7 @@ from .kernel import (
     normal_cdf,
 )
 from .quadrature import integrate
-from .simulate import ModelParams, run_replications
+from .simulate import ModelParams, run_parameter_sets, run_replications
 
 _Z95 = 1.959963984540054
 _PMF_TAIL_TOL = 1e-10  # truncation of the count-law sum in the analytic path
@@ -42,6 +42,7 @@ class ReliabilityCurve:
     n_reps: int
     soft_count: np.ndarray  # soft failures observed by each grid time
     hard_count: np.ndarray
+    survived_count: np.ndarray  # replications alive at each grid time
 
 
 def wilson_interval(successes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -70,14 +71,9 @@ def _check_grid(grid: np.ndarray, horizon: float) -> np.ndarray:
     return grid
 
 
-def estimate_reliability(params: ModelParams, grid, n_reps: int,
-                         master_seed: int) -> ReliabilityCurve:
-    """Monte Carlo survival curve from one replication set evaluated at every
-    grid time, which keeps the curve exactly nonincreasing. Step size and
-    horizon come from ``params.numerics``."""
-    num = params.numerics
-    grid = _check_grid(grid, num.horizon)
-    ftime, mode = run_replications(params, num.horizon, num.dt, master_seed, n_reps)
+def _curve(grid: np.ndarray, ftime: np.ndarray, mode: np.ndarray) -> ReliabilityCurve:
+    """The curve of one replication set's failure times and modes."""
+    n_reps = ftime.size
     soft, hard = (np.searchsorted(np.sort(ftime[mode == m]), grid, side="right")
                   for m in (1, 2))
     surv = n_reps - soft - hard  # every failure is soft or hard; survivors carry inf
@@ -90,7 +86,18 @@ def estimate_reliability(params: ModelParams, grid, n_reps: int,
         n_reps=n_reps,
         soft_count=soft,
         hard_count=hard,
+        survived_count=surv,
     )
+
+
+def estimate_reliability(params: ModelParams, grid, n_reps: int,
+                         master_seed: int) -> ReliabilityCurve:
+    """Monte Carlo survival curve from one replication set evaluated at every
+    grid time, which keeps the curve exactly nonincreasing. Step size and
+    horizon come from ``params.numerics``."""
+    num = params.numerics
+    grid = _check_grid(grid, num.horizon)
+    return _curve(grid, *run_replications(params, num.horizon, num.dt, master_seed, n_reps))
 
 
 def _require_decoupled(params: ModelParams) -> None:
@@ -217,12 +224,17 @@ def sweep(base: ModelParams, parameter: str, values, grid, n_reps: int,
           master_seed: int) -> list[tuple[float, ReliabilityCurve]]:
     """One curve per value, all run from the same master seed so every
     replication sees identical randomness across values (common random
-    numbers); orderings along the sweep then reflect the parameter alone."""
+    numbers); orderings along the sweep then reflect the parameter alone.
+
+    Every value is applied before anything runs, and the values advance side
+    by side on one set of path draws; each curve is bit-identical to
+    ``estimate_reliability`` on its value alone.
+    """
     values = [float(v) for v in values]
     if not values:
         raise ValueError("sweep needs at least one value")
-    out = []
-    for v in values:
-        p = apply_sweep_value(base, parameter, v)
-        out.append((v, estimate_reliability(p, grid, n_reps, master_seed)))
-    return out
+    param_sets = [apply_sweep_value(base, parameter, v) for v in values]
+    num = base.numerics
+    grid = _check_grid(grid, num.horizon)
+    runs = run_parameter_sets(param_sets, num.horizon, num.dt, master_seed, n_reps)
+    return [(v, _curve(grid, ftime, mode)) for v, (ftime, mode) in zip(values, runs)]

@@ -11,7 +11,14 @@ end-of-step clock.
 The engine applies these rules without visiting every step. A run is one loop
 over blocks of consecutive replications in index order; a block builds its
 streams and refill buffers, runs through every step and is released before the
-next, so the block size bounds memory and nothing else. Each replication
+next, so the block size bounds memory and nothing else. The loop runs one or
+several parameter sets (a sweep's values) side by side: a block builds the path
+streams, theta and the refill buffers once, each chunk's refill is drawn once
+for the replications still alive under any set, and each set applies its own
+rules to its own rows of it and draws its own mark streams. The path draws
+depend only on theta_law, alpha1, beta and the step grid (numerics), so sets
+that share these read exactly the draws each would read alone, and sets that
+do not are refused. Each replication
 advances a chunk of _CHUNK steps at a time: one sequential cumulative sum gives
 the pure path at every step of the chunk, with the rounding of adding one
 increment per step. Between two shocks the total wear and the intensity only
@@ -19,7 +26,8 @@ grow, so whole-block scans find each replication's next event: soft failure, a
 guard violation, or an arrival candidate (u >= exp(-mu) requires u + mu >= 1).
 The per-step rules run only at those steps, and a replication is scanned again
 from the step after each of its events. Results are bit-identical to visiting
-every step, and a StepSizeError names the run's earliest violating step.
+every step, and to running each set alone; a StepSizeError is that of the first
+set with a violation and names its earliest violating step.
 
 Stream layout (a compatibility contract: changing it changes every result
 for a given seed):
@@ -158,10 +166,10 @@ class BatchResult:
 
 
 class _Batch:
-    """One block of replications: row state by block-local id, streams, and
-    refill buffers for every row, advanced through the step grid by ``run``."""
+    """One parameter set's rows of one block: row state by block-local id and
+    mark streams, advanced a chunk at a time on the path draws of its block."""
 
-    def __init__(self, params: ModelParams, dt: float, n_steps: int, master_seed: int,
+    def __init__(self, params: ModelParams, theta: np.ndarray, dt: float, master_seed: int,
                  rep_lo: int, out: BatchResult):
         deg = params.degradation
         shk = params.shock
@@ -170,20 +178,9 @@ class _Batch:
         self.master_seed = master_seed
         self.rep_lo = rep_lo
         self.out = out
-
-        self.path_gens = [replication_stream(master_seed, rep_lo + j, PATH_STREAM)
-                          for j in range(n)]
         self.mark_gens = [None] * n  # built at a replication's first arrival
 
-        theta = np.ones(n)
-        if deg.theta_law is not None:
-            gammaincinv = _gammaincinv()
-            tl = deg.theta_law
-            for j in range(n):
-                theta[j] = float(gammaincinv(tl.shape, self.path_gens[j].random())) / tl.rate
-
         self.scale = 1.0 / deg.beta
-        self.shape_pre = theta * (deg.alpha1 * dt)
         self.d_alpha = deg.alpha2 - deg.alpha1
         if self.d_alpha > 0.0:
             self.shape_post = theta * (self.d_alpha * dt)   # additive extra increment
@@ -205,43 +202,21 @@ class _Batch:
         self.changed = np.zeros(n, dtype=bool)
         self.alive = np.ones(n, dtype=bool)
 
-        cols = min(n_steps, _CHUNK)
-        self.g1 = np.empty((n, cols))
-        self.u = np.empty((n, 2 * cols))
-        self.path = np.empty((n, cols))
-
-    def run(self, n_steps: int) -> list[tuple]:
-        """Advance through the step grid; return the first violating chunk's guard violations."""
-        for k0 in range(0, n_steps, _CHUNK):
-            ids = np.flatnonzero(self.alive)
-            if ids.size == 0:
-                break
-            violations = self.advance(ids, k0, min(_CHUNK, n_steps - k0))
-            if violations:
-                return violations
-        rows = np.flatnonzero(self.alive)
-        self.out.final_total[rows] = self.pure[rows] + self.jumps[rows]
-        return []
-
-    def advance(self, ids: np.ndarray, k0: int, span: int) -> list[tuple]:
+    def advance(self, ids: np.ndarray, k0: int, g1: np.ndarray, u: np.ndarray,
+                path: np.ndarray) -> list[tuple]:
         """Advance rows ``ids`` (alive, ascending) through steps k0 .. k0+span-1.
 
-        Returns the guard violations met, one ``(step, rate, rep_index)`` per
-        row that stopped at its first step with ``rate*dt > MAX_RATE_DT``.
+        ``g1`` and ``u`` hold the rows' pre-change increments and uniforms of
+        the chunk, which are only read; ``path`` is scratch of the same shape
+        as ``g1``. Returns the guard violations met, one ``(step, rate,
+        rep_index)`` per row that stopped at its first step with ``rate*dt >
+        MAX_RATE_DT``.
         """
-        m = ids.size
-        g1 = self.g1[:m, :span]
-        u = self.u[:m, :2 * span]
-        for i, shape, g1_row, u_row in zip(ids.tolist(), self.shape_pre[ids].tolist(), g1, u):
-            g = self.path_gens[i]
-            g.standard_gamma(shape, out=g1_row)
-            g.random(out=u_row)
-        g1 *= self.scale  # the draws of g.gamma(shape, scale): numpy scales standard gammas
+        m, span = g1.shape
         u2, upois = u[:, :span], u[:, span:]
 
         # Pure-wear path of every row at every column of the chunk. Accumulation
         # is sequential, so each entry is the running sum the step loop forms.
-        path = self.path[:m, :span]
         np.copyto(path, g1)
         path[:, 0] += self.pure[ids]
         np.cumsum(path, axis=1, out=path)
@@ -442,20 +417,85 @@ def _step_size_error(violations: list[tuple], dt: float) -> StepSizeError:
     return err
 
 
+def _run_block(param_sets: list[ModelParams], dt: float, n_steps: int, master_seed: int,
+               rep_lo: int, outs: list[BatchResult]) -> list[list[tuple]]:
+    """One block of replications under every parameter set, on one set of path
+    draws; returns each set's guard violations. A set stops at its first
+    violating chunk, as the run will raise. Nothing made here outlives the call."""
+    deg = param_sets[0].degradation
+    n = outs[0].failure_time.size
+    path_gens = [replication_stream(master_seed, rep_lo + j, PATH_STREAM) for j in range(n)]
+    theta = np.ones(n)
+    if deg.theta_law is not None:
+        gammaincinv = _gammaincinv()
+        tl = deg.theta_law
+        for j in range(n):
+            theta[j] = float(gammaincinv(tl.shape, path_gens[j].random())) / tl.rate
+    shape_pre = theta * (deg.alpha1 * dt)
+    scale = 1.0 / deg.beta
+    batches = [_Batch(p, theta, dt, master_seed, rep_lo, out) for p, out in zip(param_sets, outs)]
+    violations = [[] for _ in batches]
+
+    cols = min(n_steps, _CHUNK)
+    g1_buf = np.empty((n, cols))
+    u_buf = np.empty((n, 2 * cols))
+    path_buf = np.empty((n, cols))
+    for k0 in range(0, n_steps, _CHUNK):
+        union = np.flatnonzero(np.logical_or.reduce([b.alive for b in batches]))
+        if union.size == 0:
+            break
+        m, span = union.size, min(_CHUNK, n_steps - k0)
+        g1 = g1_buf[:m, :span]
+        u = u_buf[:m, :2 * span]
+        for i, shape, g1_row, u_row in zip(union.tolist(), shape_pre[union].tolist(), g1, u):
+            g = path_gens[i]
+            g.standard_gamma(shape, out=g1_row)
+            g.random(out=u_row)
+        g1 *= scale  # the draws of g.gamma(shape, scale): numpy scales standard gammas
+        for b, found in zip(batches, violations):
+            ids = np.flatnonzero(b.alive)
+            if ids.size == m:
+                found += b.advance(ids, k0, g1, u, path_buf[:m, :span])
+            elif ids.size:
+                rows = np.searchsorted(union, ids)
+                found += b.advance(ids, k0, g1[rows], u[rows], path_buf[:ids.size, :span])
+            if found:
+                b.alive[:] = False
+    for b in batches:
+        rows = np.flatnonzero(b.alive)
+        b.out.final_total[rows] = b.pure[rows] + b.jumps[rows]
+    return violations
+
+
+def _simulate_sets(param_sets: list[ModelParams], horizon: float, dt: float, master_seed: int,
+                   rep_lo: int, rep_hi: int, want_traces: bool = False,
+                   rows: int = _ROWS) -> list[BatchResult]:
+    """Replications rep_lo .. rep_hi-1 under each parameter set, in blocks of
+    ``rows``; see the module docstring."""
+    shared = [(p.degradation.theta_law, p.degradation.alpha1, p.degradation.beta, p.numerics)
+              for p in param_sets]
+    if any(key != shared[0] for key in shared):
+        raise ValueError("parameter sets run together must share theta_law, alpha1, beta "
+                         "and numerics, which fix the path draws")
+    n_steps = step_count(horizon, dt)
+    outs = [BatchResult(rep_hi - rep_lo, want_traces) for _ in param_sets]
+    violations = [[] for _ in param_sets]
+    for lo in range(rep_lo, rep_hi, rows):
+        views = [out.view(lo - rep_lo, min(lo + rows, rep_hi) - rep_lo) for out in outs]
+        for found, block in zip(violations, _run_block(param_sets, dt, n_steps, master_seed,
+                                                       lo, views)):
+            found += block
+    for found in violations:
+        if found:
+            raise _step_size_error(found, dt)
+    return outs
+
+
 def _simulate_batch(params: ModelParams, horizon: float, dt: float, master_seed: int,
                     rep_lo: int, rep_hi: int, want_traces: bool = False,
                     rows: int = _ROWS) -> BatchResult:
-    """Replications rep_lo .. rep_hi-1, in blocks of ``rows``; see the module docstring."""
-    n_steps = step_count(horizon, dt)
-    out = BatchResult(rep_hi - rep_lo, want_traces)
-    violations = []
-    for lo in range(rep_lo, rep_hi, rows):
-        # The block is released when run returns, before the next one is built.
-        violations += _Batch(params, dt, n_steps, master_seed, lo,
-                             out.view(lo - rep_lo, min(lo + rows, rep_hi) - rep_lo)).run(n_steps)
-    if violations:
-        raise _step_size_error(violations, dt)
-    return out
+    """``_simulate_sets`` for one parameter set."""
+    return _simulate_sets([params], horizon, dt, master_seed, rep_lo, rep_hi, want_traces, rows)[0]
 
 
 def _outcome(res: BatchResult, j: int) -> ReplicationOutcome:
@@ -495,9 +535,22 @@ def run_replications(params: ModelParams, horizon: float, dt: float, master_seed
     results and guard errors do not depend on it. Returns (failure_time,
     mode); survivors carry failure_time = inf, mode 0.
     """
+    return run_parameter_sets([params], horizon, dt, master_seed, n_reps, batch_size)[0]
+
+
+def run_parameter_sets(param_sets: list[ModelParams], horizon: float, dt: float,
+                       master_seed: int, n_reps: int,
+                       batch_size: int = _ROWS) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``run_replications`` for each parameter set, on one set of path draws.
+
+    The sets must share theta_law, alpha1, beta and numerics (ValueError
+    otherwise). Each result, and the StepSizeError of the first set that has
+    one, is bit-identical to running that set alone.
+    """
     if n_reps < 1:
         raise ValueError(f"n_reps must be >= 1, got {n_reps}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    res = _simulate_batch(params, horizon, dt, master_seed, 0, n_reps, rows=batch_size)
-    return res.failure_time, res.mode
+    return [(res.failure_time, res.mode)
+            for res in _simulate_sets(param_sets, horizon, dt, master_seed, 0, n_reps,
+                                      rows=batch_size)]

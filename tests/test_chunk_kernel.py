@@ -1,5 +1,6 @@
 """The chunk kernel against the per-step loop it replaced, and engine
-properties that must not depend on how replications are grouped in blocks."""
+properties that must not depend on how replications are grouped in blocks
+or on running several parameter sets side by side."""
 
 import functools
 import pickle
@@ -13,9 +14,13 @@ from shockwear import (
     GammaLaw,
     NormalLaw,
     StepSizeError,
+    estimate_reliability,
     run_replications,
     simulate_replication,
+    sweep,
 )
+from shockwear.reliability import apply_sweep_value
+from shockwear.simulate import run_parameter_sets
 from tests import reference_engine
 from tests.conftest import make_params
 
@@ -147,3 +152,87 @@ def test_batch_size_below_one_refused():
     for batch_size in (0, -5):
         with pytest.raises(ValueError, match="batch_size"):
             run_replications(p, 1.0, 0.01, 1, 10, batch_size=batch_size)
+
+
+# Sweeps run their values side by side on one set of path draws. Base: frequent
+# shocks and rate changes over three chunks; each key's values lose rows in
+# different chunks, so a value's live rows often differ from the union's.
+SWEEP_BASE = dict(lambda0=0.5, gamma=0.01, D0=12.0, D1=25.0, H=8.0, horizon=6.0)
+SWEEPS = {
+    "D0": (dict(), [8.0, 12.0, 20.0]),
+    "gamma": (dict(), [0.0, 0.05, 0.1]),
+    "eta": (dict(), [0.05, 0.2, 0.6]),
+    "lambda0": (dict(), [0.1, 0.5, 1.0]),
+    "alpha2": (dict(), [0.3, 0.5, 0.9]),  # below, equal to and above alpha1 = 0.5
+    "H": (dict(), [4.0, 8.0, 12.0]),
+    "D1": (dict(), [15.0, 25.0, 40.0]),
+    "theta_law": (dict(theta_law=GammaLaw(4.0, 4.0)), [10.0, 12.0, 20.0]),  # a D0 sweep
+}
+
+
+def _sweep_sets(case):
+    overrides, values = SWEEPS[case]
+    key = "D0" if case == "theta_law" else case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # alpha2 < alpha1 is legal but unusual
+        base = make_params(**{**SWEEP_BASE, **overrides})
+        return base, key, values, [apply_sweep_value(base, key, v) for v in values]
+
+
+@pytest.mark.parametrize("rows", [simulate._ROWS, 7, 1], ids=["default_rows", "rows7", "rows1"])
+@pytest.mark.parametrize("case", list(SWEEPS))
+def test_sets_side_by_side_match_each_alone(case, rows):
+    sets = _sweep_sets(case)[3]
+    together = simulate._simulate_sets(sets, 6.0, 0.01, 7, 3, 160, rows=rows)
+    for p, res in zip(sets, together):
+        assert_identical(res, simulate._simulate_batch(p, 6.0, 0.01, 7, 3, 160, rows=rows))
+    # the case reaches chunks where a set's live rows differ from the union's:
+    # some replication stops in different chunks under two of the sets
+    stops = []
+    for res in together:
+        stop = np.full(res.failure_time.size, 3)  # 3: survived all three chunks
+        failed = np.isfinite(res.failure_time)
+        stop[failed] = (np.rint(res.failure_time[failed] / 0.01).astype(int) - 1) // 256
+        stops.append(stop)
+    assert any(np.any(a != b) for a in stops for b in stops)
+
+
+@pytest.mark.parametrize("case", list(SWEEPS))
+def test_sweep_equals_its_values_run_alone(case):
+    base, key, values, sets = _sweep_sets(case)
+    grid = np.linspace(0.0, 6.0, 13)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        curves = sweep(base, key, values, grid, 300, 7)
+    assert [v for v, _ in curves] == values
+    for p, (_, curve) in zip(sets, curves):
+        alone = estimate_reliability(p, grid, 300, 7)
+        for name in ("grid", "estimate", "ci_low", "ci_high", "soft_count", "hard_count",
+                     "survived_count"):
+            a, b = getattr(curve, name), getattr(alone, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert curve.n_reps == alone.n_reps
+
+
+@pytest.mark.parametrize("change", [dict(alpha1=0.6), dict(beta=1.5), dict(dt=0.02),
+                                    dict(theta_law=GammaLaw(4.0, 4.0))],
+                         ids=["alpha1", "beta", "dt", "theta_law"])
+def test_sets_with_different_path_draws_refused(change):
+    sets = [make_params(horizon=2.0), make_params(horizon=2.0, **change)]
+    with pytest.raises(ValueError, match="must share theta_law, alpha1, beta and numerics"):
+        run_parameter_sets(sets, 2.0, 0.01, 1, 10)
+
+
+def test_sweep_step_size_error_is_its_first_failing_value_alone():
+    # gamma = 0 never trips the guard; 0.2 trips it at t = 3.7 and 0.3 earlier,
+    # at t = 2.2, but the sweep reports the first value in order that trips it.
+    p = make_params(horizon=10.0, **GUARD)
+    grid = np.linspace(0.0, 10.0, 11)
+    with pytest.raises(StepSizeError) as alone:
+        estimate_reliability(apply_sweep_value(p, "gamma", 0.2), grid, 300, 5)
+    with pytest.raises(StepSizeError) as swept:
+        sweep(p, "gamma", [0.0, 0.2, 0.3], grid, 300, 5)
+    a, s = alone.value, swept.value
+    assert (str(s), s.time, s.suggested_dt, s.rep_index) == (str(a), a.time, a.suggested_dt,
+                                                              a.rep_index)
+    assert s.time == 3.7

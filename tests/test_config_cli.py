@@ -9,6 +9,7 @@ import pytest
 
 import shockwear.cli
 import shockwear.reliability
+import shockwear.simulate
 from shockwear import ConfigError, IntegrationError
 from shockwear.cli import main
 from shockwear.config import config_to_dict, dump_config, load_config, parse_config
@@ -219,6 +220,14 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert "lambda0" in err and "D0" in err
 
+    def test_bad_value_refused_before_any_value_runs(self, tmp_path, capsys, monkeypatch):
+        def stream(*args, **kwargs):
+            raise AssertionError("a value ran before every value was checked")
+        monkeypatch.setattr(shockwear.simulate, "replication_stream", stream)
+        cfg = write_config(tmp_path, valve_doc(**{"output.path": str(tmp_path / "s.csv")}))
+        assert main(["sweep", "D0", "20,50", "--config", cfg]) == 2
+        assert "model.D0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("parameter, value, names", [
         ("gamma", "nan", ["model.gamma"]),
         ("D0", "50", ["model.D0", "model.D1"]),
@@ -374,6 +383,7 @@ class TestOutputPath:
         def engine(*args, **kwargs):
             raise AssertionError("the engine ran before the output path was checked")
         monkeypatch.setattr(shockwear.reliability, "run_replications", engine)
+        monkeypatch.setattr(shockwear.reliability, "run_parameter_sets", engine)
         monkeypatch.setattr(shockwear.cli, "simulate_paths", engine)
 
     @pytest.mark.parametrize("verb", sorted(VERBS))

@@ -46,6 +46,7 @@ class TestEstimate:
         assert np.all(curve.soft_count + curve.hard_count <= curve.n_reps)
         # mode tallies are cumulative and consistent with the estimate
         surv = curve.n_reps - curve.soft_count - curve.hard_count
+        assert np.array_equal(curve.survived_count, surv)
         assert np.allclose(curve.estimate, surv / curve.n_reps)
 
     def test_grid_validation(self):
