@@ -64,12 +64,8 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     run = cfg.run
     model = cfg.model
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("--seed must be >= 0")
         run = replace(run, master_seed=args.seed)
     if args.reps is not None:
-        if args.reps < 1:
-            raise ConfigError("--reps must be >= 1")
         run = replace(run, n_reps=args.reps)
     if args.dt is not None:
         try:

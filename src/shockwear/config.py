@@ -58,10 +58,20 @@ class RunSettings:
     master_seed: int
     grid: GridSpec
 
+    def __post_init__(self):
+        if self.n_reps < 1:
+            raise ConfigError(f"run.n_reps must be >= 1, got {self.n_reps}")
+        if self.master_seed < 0:
+            raise ConfigError(f"run.master_seed must be >= 0, got {self.master_seed}")
+
 
 @dataclass(frozen=True)
 class OutputSettings:
     path: str
+
+    def __post_init__(self):
+        if not self.path:
+            raise ConfigError("output.path: expected a non-empty string")
 
 
 @dataclass(frozen=True)
@@ -141,11 +151,7 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError(_config_names(str(exc))) from exc
 
     n_reps = _integer(run, "run", "n_reps")
-    if n_reps < 1:
-        raise ConfigError(f"run.n_reps must be >= 1, got {n_reps}")
     master_seed = _integer(run, "run", "master_seed")
-    if master_seed < 0:
-        raise ConfigError(f"run.master_seed must be >= 0, got {master_seed}")
     dt = _number(run, "run", "dt")
     horizon = _number(run, "run", "horizon")
     if horizon <= 0.0:
@@ -165,7 +171,7 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError(f"run.grid.stop ({stop}) must not exceed run.horizon ({horizon})")
 
     out_path = output.get("path")
-    if not isinstance(out_path, str) or not out_path:
+    if not isinstance(out_path, str):
         raise ConfigError("output.path: expected a non-empty string")
     # output.format may be left out; CSV is the only format written
     out_format = output.get("format", "csv")

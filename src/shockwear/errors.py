@@ -12,8 +12,9 @@ class StepSizeError(RuntimeError):
     for the intensity observed when the error was raised. When the engine
     raises it, ``time`` is the end-of-step clock of the run's earliest step
     that broke the guard, for any batch size, and ``rep_index`` the replication
-    with the largest intensity there, so ``simulate_replication(..., rep_index=err.rep_index)``
-    raises again at the same ``time`` with the same ``suggested_dt``.
+    with the largest intensity there, so ``simulate_replication(params,
+    master_seed, rep_index=err.rep_index)`` raises again at the same ``time``
+    with the same ``suggested_dt``, on the run's step grid ``params.numerics``.
     """
 
     time = None

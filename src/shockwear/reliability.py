@@ -19,7 +19,7 @@ from .kernel import (
     normal_cdf,
 )
 from .quadrature import integrate
-from .simulate import ModelParams, run_parameter_sets, run_replications
+from .simulate import ModelParams, Numerics, run_replications, simulate_sets
 
 _Z95 = 1.959963984540054
 _PMF_TAIL_TOL = 1e-10  # truncation of the count-law sum in the analytic path
@@ -60,14 +60,16 @@ def wilson_interval(successes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarr
     return lo, hi
 
 
-def _check_grid(grid: np.ndarray, horizon: float) -> np.ndarray:
+def _check_grid(grid: np.ndarray, num: Numerics) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
         raise ValueError("grid must be a non-empty 1-D array of times")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError(f"grid times must be finite, got {grid.tolist()}")
     if np.any(np.diff(grid) < 0.0):
         raise ValueError("grid must be ascending")
-    if grid[0] < 0.0 or grid[-1] > horizon + 1e-12:
-        raise ValueError(f"grid must lie within [0, horizon={horizon}]")
+    if grid[0] < 0.0 or grid[-1] > num.horizon + 1e-12:
+        raise ValueError(f"grid must lie within [0, horizon={num.horizon}]")
     return grid
 
 
@@ -96,7 +98,7 @@ def estimate_reliability(params: ModelParams, grid, n_reps: int,
     grid time, which keeps the curve exactly nonincreasing. Step size and
     horizon come from ``params.numerics``."""
     num = params.numerics
-    grid = _check_grid(grid, num.horizon)
+    grid = _check_grid(grid, num)
     return _curve(grid, *run_replications(params, num.horizon, num.dt, master_seed, n_reps))
 
 
@@ -234,7 +236,6 @@ def sweep(base: ModelParams, parameter: str, values, grid, n_reps: int,
     if not values:
         raise ValueError("sweep needs at least one value")
     param_sets = [apply_sweep_value(base, parameter, v) for v in values]
-    num = base.numerics
-    grid = _check_grid(grid, num.horizon)
-    runs = run_parameter_sets(param_sets, num.horizon, num.dt, master_seed, n_reps)
-    return [(v, _curve(grid, ftime, mode)) for v, (ftime, mode) in zip(values, runs)]
+    grid = _check_grid(grid, base.numerics)
+    runs = simulate_sets(param_sets, master_seed, 0, n_reps)
+    return [(v, _curve(grid, res.failure_time, res.mode)) for v, res in zip(values, runs)]

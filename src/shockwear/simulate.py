@@ -8,26 +8,29 @@ damaging -> switch the wear rate; every non-fatal shock adds a clamped jump),
 and re-check soft failure after the jumps. Failure times are reported at the
 end-of-step clock.
 
-The engine applies these rules without visiting every step. A run is one loop
+The step grid is the model's: dt and the step count come from
+ModelParams.numerics alone. simulate_sets, the engine's one entry, is one loop
 over blocks of consecutive replications in index order; a block builds its
 streams and refill buffers, runs through every step and is released before the
-next, so the block size bounds memory and nothing else. The loop runs one or
-several parameter sets (a sweep's values) side by side: a block builds the path
+next, so the block size bounds memory and nothing else. It runs one or several
+parameter sets (a sweep's values) side by side: a block builds the path
 streams, theta and the refill buffers once, each chunk's refill is drawn once
 for the replications still alive under any set, and each set applies its own
 rules to its own rows of it and draws its own mark streams. The path draws
-depend only on theta_law, alpha1, beta and the step grid (numerics), so sets
-that share these read exactly the draws each would read alone, and sets that
-do not are refused. Each replication
-advances a chunk of _CHUNK steps at a time: one sequential cumulative sum gives
-the pure path at every step of the chunk, with the rounding of adding one
-increment per step. Between two shocks the total wear and the intensity only
-grow, so whole-block scans find each replication's next event: soft failure, a
-guard violation, or an arrival candidate (u >= exp(-mu) requires u + mu >= 1).
-The per-step rules run only at those steps, and a replication is scanned again
-from the step after each of its events. Results are bit-identical to visiting
-every step, and to running each set alone; a StepSizeError is that of the first
-set with a violation and names its earliest violating step.
+depend only on theta_law, alpha1, beta and numerics, so sets that share these
+read exactly the draws each would read alone, and sets that do not are refused.
+run_replications, simulate_paths and simulate_replication run one set; the
+first two take horizon and dt only to refuse a grid that is not the model's.
+Each replication advances a chunk of _CHUNK steps at a time: one sequential
+cumulative sum gives the pure path at every step of the chunk, with the
+rounding of adding one increment per step. Between two shocks the total wear
+and the intensity only grow, so whole-block scans find each replication's next
+event: soft failure, a guard violation, or an arrival candidate (u >= exp(-mu)
+requires u + mu >= 1). The per-step rules run only at those steps, and a
+replication is scanned again from the step after each of its events. Results
+are bit-identical to visiting every step, and to running each set alone; a
+StepSizeError is that of the first set with a violation and names its earliest
+violating step.
 
 Stream layout (a compatibility contract: changing it changes every result
 for a given seed):
@@ -169,12 +172,12 @@ class _Batch:
     """One parameter set's rows of one block: row state by block-local id and
     mark streams, advanced a chunk at a time on the path draws of its block."""
 
-    def __init__(self, params: ModelParams, theta: np.ndarray, dt: float, master_seed: int,
+    def __init__(self, params: ModelParams, theta: np.ndarray, master_seed: int,
                  rep_lo: int, out: BatchResult):
         deg = params.degradation
         shk = params.shock
         n = out.failure_time.size
-        self.dt = dt
+        self.dt = dt = params.numerics.dt
         self.master_seed = master_seed
         self.rep_lo = rep_lo
         self.out = out
@@ -406,10 +409,11 @@ class _Batch:
                 col, jm, ns = nxt, jm_next, ns_next
 
 
-def _step_size_error(violations: list[tuple], dt: float) -> StepSizeError:
+def _step_size_error(violations: list[tuple], num: Numerics) -> StepSizeError:
     """The guard error of the step loop: its earliest violating step, at the
     largest intensity there, naming that replication."""
     step, rate, rep_index = min(violations, key=lambda v: (v[0], -v[1], v[2]))
+    dt = num.dt
     t_end = (step + 1) * dt
     err = StepSizeError(f"intensity*dt = {rate * dt:.4g} exceeds {MAX_RATE_DT} at t={t_end:.6g}; "
                         f"use dt <= {MAX_RATE_DT / rate:.4g}", suggested_dt=MAX_RATE_DT / rate)
@@ -417,23 +421,21 @@ def _step_size_error(violations: list[tuple], dt: float) -> StepSizeError:
     return err
 
 
-def _run_block(param_sets: list[ModelParams], dt: float, n_steps: int, master_seed: int,
-               rep_lo: int, outs: list[BatchResult]) -> list[list[tuple]]:
+def _run_block(param_sets: list[ModelParams], master_seed: int, rep_lo: int,
+               outs: list[BatchResult]) -> list[list[tuple]]:
     """One block of replications under every parameter set, on one set of path
     draws; returns each set's guard violations. A set stops at its first
     violating chunk, as the run will raise. Nothing made here outlives the call."""
-    deg = param_sets[0].degradation
+    deg, num = param_sets[0].degradation, param_sets[0].numerics
+    n_steps = step_count(num.horizon, num.dt)
     n = outs[0].failure_time.size
     path_gens = [replication_stream(master_seed, rep_lo + j, PATH_STREAM) for j in range(n)]
-    theta = np.ones(n)
-    if deg.theta_law is not None:
-        gammaincinv = _gammaincinv()
-        tl = deg.theta_law
-        for j in range(n):
-            theta[j] = float(gammaincinv(tl.shape, path_gens[j].random())) / tl.rate
-    shape_pre = theta * (deg.alpha1 * dt)
+    tl = deg.theta_law
+    theta = np.ones(n) if tl is None else (
+        _gammaincinv()(tl.shape, [g.random() for g in path_gens]) / tl.rate)
+    shape_pre = theta * (deg.alpha1 * num.dt)
     scale = 1.0 / deg.beta
-    batches = [_Batch(p, theta, dt, master_seed, rep_lo, out) for p, out in zip(param_sets, outs)]
+    batches = [_Batch(p, theta, master_seed, rep_lo, out) for p, out in zip(param_sets, outs)]
     violations = [[] for _ in batches]
 
     cols = min(n_steps, _CHUNK)
@@ -467,35 +469,42 @@ def _run_block(param_sets: list[ModelParams], dt: float, n_steps: int, master_se
     return violations
 
 
-def _simulate_sets(param_sets: list[ModelParams], horizon: float, dt: float, master_seed: int,
-                   rep_lo: int, rep_hi: int, want_traces: bool = False,
-                   rows: int = _ROWS) -> list[BatchResult]:
+def simulate_sets(param_sets: list[ModelParams], master_seed: int, rep_lo: int, rep_hi: int,
+                  want_traces: bool = False, rows: int = _ROWS) -> list[BatchResult]:
     """Replications rep_lo .. rep_hi-1 under each parameter set, in blocks of
-    ``rows``; see the module docstring."""
+    ``rows``, on the step grid of the sets' numerics; see the module docstring.
+
+    The sets must share theta_law, alpha1, beta and numerics (ValueError
+    otherwise). Each result, and the StepSizeError of the first set that has
+    one, is bit-identical to running that set alone.
+    """
+    if rep_hi <= rep_lo:
+        raise ValueError(f"n_reps must be >= 1, got {rep_hi - rep_lo}")
+    if rows < 1:
+        raise ValueError(f"batch_size must be >= 1, got {rows}")
     shared = [(p.degradation.theta_law, p.degradation.alpha1, p.degradation.beta, p.numerics)
               for p in param_sets]
     if any(key != shared[0] for key in shared):
         raise ValueError("parameter sets run together must share theta_law, alpha1, beta "
                          "and numerics, which fix the path draws")
-    n_steps = step_count(horizon, dt)
     outs = [BatchResult(rep_hi - rep_lo, want_traces) for _ in param_sets]
     violations = [[] for _ in param_sets]
     for lo in range(rep_lo, rep_hi, rows):
         views = [out.view(lo - rep_lo, min(lo + rows, rep_hi) - rep_lo) for out in outs]
-        for found, block in zip(violations, _run_block(param_sets, dt, n_steps, master_seed,
-                                                       lo, views)):
+        for found, block in zip(violations, _run_block(param_sets, master_seed, lo, views)):
             found += block
     for found in violations:
         if found:
-            raise _step_size_error(found, dt)
+            raise _step_size_error(found, param_sets[0].numerics)
     return outs
 
 
-def _simulate_batch(params: ModelParams, horizon: float, dt: float, master_seed: int,
-                    rep_lo: int, rep_hi: int, want_traces: bool = False,
-                    rows: int = _ROWS) -> BatchResult:
-    """``_simulate_sets`` for one parameter set."""
-    return _simulate_sets([params], horizon, dt, master_seed, rep_lo, rep_hi, want_traces, rows)[0]
+def _same_grid(params: ModelParams, grid: Numerics) -> None:
+    """Refuse a step grid that is not ``params.numerics``."""
+    if grid != params.numerics:
+        num = params.numerics
+        raise ValueError(f"horizon={grid.horizon}, dt={grid.dt} is not the model's step grid "
+                         f"params.numerics (horizon={num.horizon}, dt={num.dt})")
 
 
 def _outcome(res: BatchResult, j: int) -> ReplicationOutcome:
@@ -511,19 +520,20 @@ def _outcome(res: BatchResult, j: int) -> ReplicationOutcome:
     )
 
 
-def simulate_replication(params: ModelParams, horizon: float, dt: float,
-                         master_seed: int, rep_index: int = 0) -> ReplicationOutcome:
+def simulate_replication(params: ModelParams, master_seed: int,
+                         rep_index: int = 0) -> ReplicationOutcome:
     """Run one replication; bit-identical to the same index inside any run."""
-    res = _simulate_batch(params, horizon, dt, master_seed, rep_index, rep_index + 1)
-    return _outcome(res, 0)
+    return _outcome(simulate_sets([params], master_seed, rep_index, rep_index + 1)[0], 0)
 
 
 def simulate_paths(params: ModelParams, horizon: float, dt: float,
                    master_seed: int, k: int) -> list[ReplicationOutcome]:
-    """k replications with full step-grid traces attached."""
+    """k replications with full step-grid traces attached. ``horizon`` and
+    ``dt`` must be those of ``params.numerics`` (ValueError otherwise)."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    res = _simulate_batch(params, horizon, dt, master_seed, 0, k, want_traces=True)
+    _same_grid(params, Numerics(dt=dt, horizon=horizon))
+    res = simulate_sets([params], master_seed, 0, k, want_traces=True)[0]
     return [_outcome(res, j) for j in range(k)]
 
 
@@ -531,26 +541,11 @@ def run_replications(params: ModelParams, horizon: float, dt: float, master_seed
                      n_reps: int, batch_size: int = _ROWS) -> tuple[np.ndarray, np.ndarray]:
     """Failure times and modes for n_reps replications.
 
-    ``batch_size`` replications advance at a time, which bounds memory;
-    results and guard errors do not depend on it. Returns (failure_time,
-    mode); survivors carry failure_time = inf, mode 0.
+    ``horizon`` and ``dt`` must be those of ``params.numerics`` (ValueError
+    otherwise). ``batch_size`` replications advance at a time, which bounds
+    memory; results and guard errors do not depend on it. Returns
+    (failure_time, mode); survivors carry failure_time = inf, mode 0.
     """
-    return run_parameter_sets([params], horizon, dt, master_seed, n_reps, batch_size)[0]
-
-
-def run_parameter_sets(param_sets: list[ModelParams], horizon: float, dt: float,
-                       master_seed: int, n_reps: int,
-                       batch_size: int = _ROWS) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``run_replications`` for each parameter set, on one set of path draws.
-
-    The sets must share theta_law, alpha1, beta and numerics (ValueError
-    otherwise). Each result, and the StepSizeError of the first set that has
-    one, is bit-identical to running that set alone.
-    """
-    if n_reps < 1:
-        raise ValueError(f"n_reps must be >= 1, got {n_reps}")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    return [(res.failure_time, res.mode)
-            for res in _simulate_sets(param_sets, horizon, dt, master_seed, 0, n_reps,
-                                      rows=batch_size)]
+    _same_grid(params, Numerics(dt=dt, horizon=horizon))
+    res = simulate_sets([params], master_seed, 0, n_reps, rows=batch_size)[0]
+    return res.failure_time, res.mode

@@ -20,7 +20,7 @@ from shockwear import (
 )
 from shockwear.cli import main
 from shockwear.kernel import facilitation_pmf, gamma_cdf
-from shockwear.simulate import _simulate_batch
+from shockwear.simulate import simulate_sets
 from tests.conftest import facilitation_mass, make_params
 from tests.test_config_cli import valve_doc, write_config
 
@@ -176,13 +176,13 @@ def test_criterion_9_cli_determinism(tmp_path):
 def test_criterion_10_sampler_distributions():
     # gamma path endpoints vs the increment law at t=4
     p = make_params(lambda0=0.0, gamma=0.0, H=1e12, horizon=4.0)
-    res = _simulate_batch(p, 4.0, 0.01, 99_100, 0, 100_000)
+    res = simulate_sets([p], 99_100, 0, 100_000)[0]
     ks = stats.kstest(res.final_total, lambda x: stats.gamma.cdf(x, a=2.0, scale=1 / 1.2))
     ks_ok = ks.pvalue > 0.01
 
     # facilitated shock counts vs the closed-form count law (decoupled)
     p = make_params(lambda0=0.5, eta=0.2, gamma=0.0, H=1e12, D0=1e12, D1=1e12, horizon=4.0)
-    res = _simulate_batch(p, 4.0, 0.01, 99_200, 0, 100_000)
+    res = simulate_sets([p], 99_200, 0, 100_000)[0]
     counts = res.n_shocks
     n = counts.size
     edges = list(range(11))

@@ -57,7 +57,7 @@ def test_batch_size_invariant(model, steps, n, seed):
     first = results[0]
     if isinstance(first, StepSizeError):
         with pytest.raises(StepSizeError) as alone:
-            simulate_replication(p, horizon, 0.01, seed, rep_index=first.rep_index)
+            simulate_replication(p, seed, rep_index=first.rep_index)
         assert (alone.value.time, alone.value.suggested_dt) == (first.time, first.suggested_dt)
     for other in results[1:]:
         assert _key(other) == _key(first)

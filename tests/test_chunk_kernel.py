@@ -20,7 +20,6 @@ from shockwear import (
     sweep,
 )
 from shockwear.reliability import apply_sweep_value
-from shockwear.simulate import run_parameter_sets
 from tests import reference_engine
 from tests.conftest import make_params
 
@@ -73,7 +72,7 @@ ROWS = pytest.mark.parametrize("rows", [simulate._ROWS, 7], ids=["default_rows",
 @pytest.mark.parametrize("case", list(CASES))
 def test_matches_step_loop(case, rows):
     _, horizon, seed, lo, hi, traces = CASES[case]
-    new = simulate._simulate_batch(_params(case), horizon, 0.01, seed, lo, hi, traces, rows=rows)
+    new = simulate.simulate_sets([_params(case)], seed, lo, hi, traces, rows=rows)[0]
     assert_identical(new, _reference(case))
 
 
@@ -87,7 +86,7 @@ def test_matrix_reaches_its_cases(monkeypatch):
         return c
 
     monkeypatch.setattr(simulate, "poisson_counts", spy)
-    simulate._simulate_batch(_params("multi_arrival"), 2.5, 0.01, 4, 0, 400)
+    simulate.simulate_sets([_params("multi_arrival")], 4, 0, 400)
     assert max(counts) >= 2
     ref = {case: _reference(case) for case in CASES}
     assert np.isfinite(ref["valve"].failure_time).any()
@@ -125,7 +124,7 @@ def test_step_size_error_names_a_replayable_replication():
         run_replications(p, 10.0, 0.01, 5, 300)
     assert 0 <= batch.value.rep_index < 300
     with pytest.raises(StepSizeError) as alone:
-        simulate_replication(p, 10.0, 0.01, 5, rep_index=batch.value.rep_index)
+        simulate_replication(p, 5, rep_index=batch.value.rep_index)
     assert alone.value.rep_index == batch.value.rep_index
     assert alone.value.time == batch.value.time
     assert alone.value.suggested_dt == batch.value.suggested_dt
@@ -183,9 +182,9 @@ def _sweep_sets(case):
 @pytest.mark.parametrize("case", list(SWEEPS))
 def test_sets_side_by_side_match_each_alone(case, rows):
     sets = _sweep_sets(case)[3]
-    together = simulate._simulate_sets(sets, 6.0, 0.01, 7, 3, 160, rows=rows)
+    together = simulate.simulate_sets(sets, 7, 3, 160, rows=rows)
     for p, res in zip(sets, together):
-        assert_identical(res, simulate._simulate_batch(p, 6.0, 0.01, 7, 3, 160, rows=rows))
+        assert_identical(res, simulate.simulate_sets([p], 7, 3, 160, rows=rows)[0])
     # the case reaches chunks where a set's live rows differ from the union's:
     # some replication stops in different chunks under two of the sets
     stops = []
@@ -220,7 +219,7 @@ def test_sweep_equals_its_values_run_alone(case):
 def test_sets_with_different_path_draws_refused(change):
     sets = [make_params(horizon=2.0), make_params(horizon=2.0, **change)]
     with pytest.raises(ValueError, match="must share theta_law, alpha1, beta and numerics"):
-        run_parameter_sets(sets, 2.0, 0.01, 1, 10)
+        simulate.simulate_sets(sets, 1, 0, 10)
 
 
 def test_sweep_step_size_error_is_its_first_failing_value_alone():

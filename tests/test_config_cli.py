@@ -160,6 +160,13 @@ class TestCurveCommand:
                      "--out", str(out)]) == 0
         assert out.read_text().splitlines()[1].split(",")[4] == "100"
 
+    @pytest.mark.parametrize("flag, value, field", [("--reps", "0", "run.n_reps"),
+                                                    ("--seed", "-1", "run.master_seed")])
+    def test_bad_run_override_named(self, tmp_path, capsys, flag, value, field):
+        cfg = write_config(tmp_path, valve_doc(**{"output.path": str(tmp_path / "c.csv")}))
+        assert main(["curve", "--config", cfg, flag, value]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {field} must be ")
+
     def test_dt_override_reaches_engine(self, tmp_path, capsys):
         outs = [tmp_path / name for name in ("override.csv", "written.csv", "fine.csv")]
         fine = write_config(tmp_path, valve_doc(**{"run.n_reps": 500}), "fine.json")
@@ -383,7 +390,7 @@ class TestOutputPath:
         def engine(*args, **kwargs):
             raise AssertionError("the engine ran before the output path was checked")
         monkeypatch.setattr(shockwear.reliability, "run_replications", engine)
-        monkeypatch.setattr(shockwear.reliability, "run_parameter_sets", engine)
+        monkeypatch.setattr(shockwear.reliability, "simulate_sets", engine)
         monkeypatch.setattr(shockwear.cli, "simulate_paths", engine)
 
     @pytest.mark.parametrize("verb", sorted(VERBS))
@@ -392,6 +399,12 @@ class TestOutputPath:
         out = tmp_path / "missing" / "out.csv"
         assert main([verb, *self.VERBS[verb], "--config", cfg, "--out", str(out)]) == 2
         assert "config error: output.path:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", sorted(VERBS))
+    def test_empty_path_refused_before_engine(self, tmp_path, capsys, no_engine, verb):
+        cfg = write_config(tmp_path, valve_doc())
+        assert main([verb, *self.VERBS[verb], "--config", cfg, "--out", ""]) == 2
+        assert "config error: output.path: expected a non-empty string" in capsys.readouterr().err
 
     def test_directory_as_path_refused_before_engine(self, tmp_path, capsys, no_engine):
         cfg = write_config(tmp_path, valve_doc())

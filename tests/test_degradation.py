@@ -13,7 +13,7 @@ from shockwear import (
     run_replications,
     simulate_paths,
 )
-from shockwear.simulate import _simulate_batch
+from shockwear.simulate import simulate_sets
 from tests.conftest import make_params
 
 
@@ -42,7 +42,7 @@ class TestAdvance:
     def test_pre_change_increment_mean(self):
         # one step of dt=0.01: Gamma(alpha1*dt, beta) with mean 0.5*0.01/1.2
         n = 50_000
-        res = _simulate_batch(wear_only(horizon=0.01), 0.01, 0.01, 31, 0, n)
+        res = simulate_sets([wear_only(horizon=0.01)], 31, 0, n)[0]
         law = GammaLaw(0.5 * 0.01, 1.2)
         se = math.sqrt(law.variance / n)
         assert abs(res.final_total.mean() - 0.0041667) < 4 * se
@@ -51,13 +51,13 @@ class TestAdvance:
         # theta ~ Gamma(4, 2) has mean 2, so the end point at t=4 has mean
         # 2*alpha1*t/beta; its variance adds Var(theta)*(alpha1*t/beta)^2
         t, n = 4.0, 20_000
-        res = _simulate_batch(wear_only(horizon=t, theta_law=GammaLaw(4.0, 2.0)), t, 0.1, 32, 0, n)
+        res = simulate_sets([wear_only(horizon=t, dt=0.1, theta_law=GammaLaw(4.0, 2.0))], 32, 0, n)[0]
         base = GammaLaw(0.5 * t, 1.2)
         var = 2.0 * base.variance + 1.0 * base.mean**2
         assert abs(res.final_total.mean() - 2.0 * 0.5 * t / 1.2) < 4 * math.sqrt(var / n)
 
     def test_vanishing_step(self):
-        res = _simulate_batch(wear_only(horizon=1e-6, dt=1e-6), 1e-6, 1e-6, 33, 0, 20_000)
+        res = simulate_sets([wear_only(horizon=1e-6, dt=1e-6)], 33, 0, 20_000)[0]
         assert res.final_total.mean() < 1e-5
 
     def test_post_change_rate(self):
@@ -84,7 +84,7 @@ class TestAdvance:
                     assert row[2] == prev[2]
 
     def test_rejects_nonpositive_dt(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dt"):
             run_replications(make_params(horizon=1.0), 1.0, 0.0, 1, 10)
         with pytest.raises(ValueError):
             Numerics(dt=0.0)
@@ -143,8 +143,8 @@ class TestJumpAndTrigger:
 class TestPathDistribution:
     def test_endpoint_matches_gamma_law(self):
         # no shocks: the wear endpoint at t=4 is Gamma(alpha1*4, beta) exactly
-        res = _simulate_batch(make_params(lambda0=0.0, gamma=0.0, D0=40.0, H=1e12, horizon=4.0),
-                              4.0, 0.01, 4242, 0, 30_000)
+        res = simulate_sets([make_params(lambda0=0.0, gamma=0.0, D0=40.0, H=1e12, horizon=4.0)],
+                            4242, 0, 30_000)[0]
         law = GammaLaw(2.0, 1.2)
         ks = stats.kstest(res.final_total, lambda x: stats.gamma.cdf(x, a=law.shape, scale=1 / law.rate))
         assert ks.pvalue > 0.01
@@ -152,8 +152,9 @@ class TestPathDistribution:
     def test_step_size_invariance(self):
         # gamma increments are infinitely divisible: endpoint law must not
         # depend on dt beyond sampling noise
-        p = make_params(lambda0=0.0, gamma=0.0, D0=40.0, H=1e12, horizon=4.0)
-        a = _simulate_batch(p, 4.0, 0.01, 555, 0, 30_000).final_total
-        b = _simulate_batch(p, 4.0, 0.0025, 556, 0, 30_000).final_total
-        ks = stats.ks_2samp(a, b)
+        def endpoints(dt, seed):
+            p = make_params(lambda0=0.0, gamma=0.0, D0=40.0, H=1e12, horizon=4.0, dt=dt)
+            return simulate_sets([p], seed, 0, 30_000)[0].final_total
+
+        ks = stats.ks_2samp(endpoints(0.01, 555), endpoints(0.0025, 556))
         assert ks.pvalue > 0.01

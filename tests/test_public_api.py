@@ -8,6 +8,7 @@ its module looks up at call time, and it binds engine calls' arguments by
 parameter name. A rename breaks traced benchmark runs and nothing else.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -69,3 +70,17 @@ def test_traced_globals_exist(module_name, attr):
 ], ids=["run_replications", "simulate_paths", "step_count"])
 def test_traced_engine_parameters(fn, names):
     assert tuple(inspect.signature(fn).parameters)[:len(names)] == names
+
+
+@pytest.mark.parametrize("module_name", ["shockwear.simulate", "shockwear.reliability"])
+def test_step_grid_comes_only_from_numerics(module_name):
+    # dt and horizon have one source, ModelParams.numerics. The two entries
+    # above keep the names for the tracer and refuse any other grid.
+    module = importlib.import_module(module_name)
+    functions = [fn for _, fn in inspect.getmembers(module, inspect.isfunction)]
+    for _, cls in inspect.getmembers(module, inspect.isclass):
+        if cls.__module__ == module_name and not dataclasses.is_dataclass(cls):
+            functions += [fn for _, fn in inspect.getmembers(cls, inspect.isfunction)]
+    named = {fn.__qualname__ for fn in functions
+             if {"horizon", "dt"} & set(inspect.signature(fn).parameters)}
+    assert named <= {"run_replications", "simulate_paths", "step_count"}, named

@@ -58,6 +58,15 @@ class TestEstimate:
         with pytest.raises(ValueError):
             estimate_reliability(p, [1.0], 0, 1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_grid_refused(self, bad):
+        # NaN passes every ordering test, so it is refused by name
+        p = make_params(horizon=5.0)
+        with pytest.raises(ValueError, match="grid times must be finite"):
+            estimate_reliability(p, [0.5, bad], 200, 1)
+        with pytest.raises(ValueError, match="grid times must be finite"):
+            sweep(p, "gamma", [0.0, 0.001], [0.5, bad], 200, 1)
+
     def test_deterministic_in_master_seed(self):
         p = make_params(horizon=10.0)
         grid = np.linspace(0.0, 10.0, 11)

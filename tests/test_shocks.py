@@ -15,7 +15,7 @@ from shockwear import (
 )
 from shockwear.kernel import normal_cdf
 from shockwear.shocks import poisson_counts
-from shockwear.simulate import _simulate_batch
+from shockwear.simulate import simulate_sets
 from tests.conftest import make_params
 
 
@@ -41,7 +41,7 @@ class TestIntensity:
 
 class TestArrivals:
     def test_zero_rate(self):
-        res = _simulate_batch(make_params(lambda0=0.0, gamma=0.0, horizon=5.0), 5.0, 0.01, 1, 0, 1000)
+        res = simulate_sets([make_params(lambda0=0.0, gamma=0.0, horizon=5.0)], 1, 0, 1000)[0]
         assert not res.n_shocks.any()
 
     def test_step_guard(self):
@@ -75,7 +75,7 @@ def classified(w_mean, w_sd=1e-300, n=400):
     magnitude then equals w_mean exactly."""
     p = make_params(lambda0=0.5, gamma=0.0, H=1e12, D0=30.0, D1=40.0,
                     W=NormalLaw(w_mean, w_sd), horizon=4.0)
-    res = _simulate_batch(p, 4.0, 0.01, 12, 0, n)
+    res = simulate_sets([p], 12, 0, n)[0]
     assert res.n_shocks.any()
     return res
 

@@ -20,7 +20,7 @@ from tests.conftest import make_params
 class TestBasics:
     def test_zero_horizon_survives(self):
         p = make_params(horizon=0.0)
-        out = simulate_replication(p, 0.0, 0.01, 1)
+        out = simulate_replication(p, 1)
         assert out.status == "survived"
         assert out.failure_time is None
         assert out.n_shocks == 0
@@ -28,15 +28,15 @@ class TestBasics:
 
     def test_deterministic_outcome(self):
         p = make_params(horizon=10.0)
-        a = simulate_replication(p, 10.0, 0.01, 42, rep_index=3)
-        b = simulate_replication(p, 10.0, 0.01, 42, rep_index=3)
+        a = simulate_replication(p, 42, rep_index=3)
+        b = simulate_replication(p, 42, rep_index=3)
         assert a == b
 
     def test_single_rep_bit_matches_batch(self):
         p = make_params(horizon=10.0)
         ftime, mode = run_replications(p, 10.0, 0.01, 42, 64)
         for idx in (0, 17, 63):
-            out = simulate_replication(p, 10.0, 0.01, 42, rep_index=idx)
+            out = simulate_replication(p, 42, rep_index=idx)
             if out.status == "survived":
                 assert math.isinf(ftime[idx])
             else:
@@ -66,6 +66,16 @@ class TestBasics:
         assert n_soft + n_hard + n_surv == 4000
         assert np.all(np.isinf(ftime[mode == 0]))
         assert np.all(np.isfinite(ftime[mode != 0]))
+
+    @pytest.mark.parametrize("horizon, dt", [(5.0, 0.01), (10.0, 0.02)], ids=["horizon", "dt"])
+    def test_grid_other_than_numerics_refused(self, horizon, dt):
+        # params.numerics is the one step grid; horizon and dt may only restate it
+        p = make_params(horizon=10.0)
+        named = rf"horizon={horizon}, dt={dt} .*\(horizon=10.0, dt=0.01\)"
+        with pytest.raises(ValueError, match=named):
+            run_replications(p, horizon, dt, 1, 10)
+        with pytest.raises(ValueError, match=named):
+            simulate_paths(p, horizon, dt, 1, 2)
 
     def test_step_guard_propagates(self):
         p = make_params(lambda0=20.0, horizon=1.0)
