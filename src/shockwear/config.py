@@ -81,11 +81,19 @@ class RunConfig:
     output: OutputSettings
 
 
-def _section(doc: dict, key: str) -> dict:
+def _known_keys(d: dict, path: str, accepted) -> None:
+    """Refuse a key of ``d`` outside ``accepted``, naming its dotted path."""
+    for key in d:
+        if key not in accepted:
+            raise ConfigError(f"{path}{key}: unknown key; accepted: {', '.join(accepted)}")
+
+
+def _section(doc: dict, key: str, accepted) -> dict:
     if key not in doc:
         raise ConfigError(f"missing section {key!r}")
     if not isinstance(doc[key], dict):
         raise ConfigError(f"{key}: expected an object")
+    _known_keys(doc[key], f"{key}.", accepted)
     return doc[key]
 
 
@@ -116,6 +124,7 @@ def _law(d: dict, path: str, key: str, law: type):
     names = [f.name for f in fields(law)]
     if not isinstance(sub, dict):
         raise ConfigError(f"{path}.{key}: expected an object with {'/'.join(names)}")
+    _known_keys(sub, f"{path}.{key}.", names)
     values = [_number(sub, f"{path}.{key}", name) for name in names]
     try:
         return law(*values)
@@ -134,9 +143,10 @@ def _config_names(message: str) -> str:
 def parse_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("top level must be an object")
-    model = _section(doc, "model")
-    run = _section(doc, "run")
-    output = _section(doc, "output")
+    _known_keys(doc, "", ("model", "run", "output"))
+    model = _section(doc, "model", MODEL_KEYS)
+    run = _section(doc, "run", ("n_reps", "master_seed", "grid", "dt", "horizon"))
+    output = _section(doc, "output", ("path", "format"))
 
     kwargs: dict[str, dict] = {"degradation": {}, "shock": {}}
     for key, (section, name, law) in MODEL_KEYS.items():
@@ -154,12 +164,15 @@ def parse_config(doc: dict) -> RunConfig:
     master_seed = _integer(run, "run", "master_seed")
     dt = _number(run, "run", "dt")
     horizon = _number(run, "run", "horizon")
-    if horizon <= 0.0:
-        raise ConfigError(f"run.horizon must be > 0, got {horizon}")
+    try:
+        numerics = Numerics(dt=dt, horizon=horizon)
+    except ValueError as exc:
+        raise ConfigError(f"run.horizon/run.dt: {exc}") from exc
 
     grid_doc = run.get("grid")
     if not isinstance(grid_doc, dict):
         raise ConfigError("missing field run.grid (object with start/stop/points)")
+    _known_keys(grid_doc, "run.grid.", ("start", "stop", "points"))
     start = _number(grid_doc, "run.grid", "start")
     stop = _number(grid_doc, "run.grid", "stop")
     points = _integer(grid_doc, "run.grid", "points")
@@ -167,8 +180,10 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError(f"run.grid.points must be >= 1, got {points}")
     if start < 0.0 or stop < start:
         raise ConfigError(f"run.grid must satisfy 0 <= start <= stop, got [{start}, {stop}]")
-    if stop > horizon:
-        raise ConfigError(f"run.grid.stop ({stop}) must not exceed run.horizon ({horizon})")
+    try:
+        numerics.steps_ended([stop])
+    except ValueError as exc:
+        raise ConfigError(f"run.grid.stop ({stop}) must not exceed run.horizon ({horizon})") from exc
 
     out_path = output.get("path")
     if not isinstance(out_path, str):
@@ -178,10 +193,6 @@ def parse_config(doc: dict) -> RunConfig:
     if out_format != "csv":
         raise ConfigError(f"output.format: only 'csv' is supported, got {out_format!r}")
 
-    try:
-        numerics = Numerics(dt=dt, horizon=horizon)
-    except ValueError as exc:
-        raise ConfigError(f"run.horizon/run.dt: {exc}") from exc
     return RunConfig(
         model=ModelParams(degradation=degradation, shock=shock, numerics=numerics),
         run=RunSettings(n_reps=n_reps, master_seed=master_seed,

@@ -60,28 +60,15 @@ def wilson_interval(successes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarr
     return lo, hi
 
 
-def _check_grid(grid: np.ndarray, num: Numerics) -> np.ndarray:
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 1:
-        raise ValueError("grid must be a non-empty 1-D array of times")
-    if not np.all(np.isfinite(grid)):
-        raise ValueError(f"grid times must be finite, got {grid.tolist()}")
-    if np.any(np.diff(grid) < 0.0):
-        raise ValueError("grid must be ascending")
-    if grid[0] < 0.0 or grid[-1] > num.horizon + 1e-12:
-        raise ValueError(f"grid must lie within [0, horizon={num.horizon}]")
-    return grid
-
-
-def _curve(grid: np.ndarray, ftime: np.ndarray, mode: np.ndarray) -> ReliabilityCurve:
-    """The curve of one replication set's failure times and modes."""
+def _curve(grid, steps, num: Numerics, ftime: np.ndarray, mode: np.ndarray) -> ReliabilityCurve:
+    """The curve of one replication set's failures, counted by step up to ``steps``."""
     n_reps = ftime.size
-    soft, hard = (np.searchsorted(np.sort(ftime[mode == m]), grid, side="right")
+    soft, hard = (np.searchsorted(np.sort(np.rint(ftime[mode == m] / num.dt)), steps, side="right")
                   for m in (1, 2))
     surv = n_reps - soft - hard  # every failure is soft or hard; survivors carry inf
     lo, hi = wilson_interval(surv, n_reps)
     return ReliabilityCurve(
-        grid=grid,
+        grid=np.asarray(grid, dtype=float),
         estimate=surv / n_reps,
         ci_low=lo,
         ci_high=hi,
@@ -98,8 +85,8 @@ def estimate_reliability(params: ModelParams, grid, n_reps: int,
     grid time, which keeps the curve exactly nonincreasing. Step size and
     horizon come from ``params.numerics``."""
     num = params.numerics
-    grid = _check_grid(grid, num)
-    return _curve(grid, *run_replications(params, num.horizon, num.dt, master_seed, n_reps))
+    return _curve(grid, num.steps_ended(grid), num,  # the grid is checked before the run
+                  *run_replications(params, num.horizon, num.dt, master_seed, n_reps))
 
 
 def _require_decoupled(params: ModelParams) -> None:
@@ -236,6 +223,6 @@ def sweep(base: ModelParams, parameter: str, values, grid, n_reps: int,
     if not values:
         raise ValueError("sweep needs at least one value")
     param_sets = [apply_sweep_value(base, parameter, v) for v in values]
-    grid = _check_grid(grid, base.numerics)
-    runs = simulate_sets(param_sets, master_seed, 0, n_reps)
-    return [(v, _curve(grid, res.failure_time, res.mode)) for v, res in zip(values, runs)]
+    steps = base.numerics.steps_ended(grid)
+    runs = zip(values, simulate_sets(param_sets, master_seed, 0, n_reps))
+    return [(v, _curve(grid, steps, base.numerics, r.failure_time, r.mode)) for v, r in runs]

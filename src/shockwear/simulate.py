@@ -6,7 +6,7 @@ each step. Per step: grow the pure gamma path, check soft failure (total wear
 count/wear and process each arrival in order (fatal -> hard failure and stop;
 damaging -> switch the wear rate; every non-fatal shock adds a clamped jump),
 and re-check soft failure after the jumps. Failure times are reported at the
-end-of-step clock.
+end-of-step clock k*dt; Numerics.steps_ended says which steps a time has seen.
 
 The step grid is the model's: dt and the step count come from
 ModelParams.numerics alone. simulate_sets, the engine's one entry, is one loop
@@ -74,6 +74,7 @@ _ROWS = 2048  # default replications per block (sizes the refill buffers); not i
 # Rounding room of the arrival-candidate test: exp(-mu) near 1 errs by a few
 # ulps of 1 (1.1e-16 each), well inside this.
 _ARRIVAL_SLACK = 2e-15
+_WHOLE_STEP_TOL = 1e-9  # near = within this times max(1, horizon), and at most half a step
 
 Status = Literal["soft_failed", "hard_failed", "survived"]
 _STATUS = {0: "survived", 1: "soft_failed", 2: "hard_failed"}
@@ -81,13 +82,27 @@ _STATUS = {0: "survived", 1: "soft_failed", 2: "hard_failed"}
 
 @dataclass(frozen=True)
 class Numerics:
-    """Step size and horizon of a run: the one place both are set."""
+    """Step size and horizon of a run, set only here; steps_ended places a time on their grid."""
 
     dt: float = 0.01
     horizon: float = 20.0
 
     def __post_init__(self):
         step_count(self.horizon, self.dt)
+
+    def steps_ended(self, times) -> np.ndarray:
+        """Steps ended by each of ``times``, a time near a step's end counting as that end."""
+        times = np.asarray(times, dtype=float)
+        if times.ndim != 1 or times.size < 1:
+            raise ValueError("grid must be a non-empty 1-D array of times")
+        if not np.all(np.isfinite(times)):
+            raise ValueError(f"grid times must be finite, got {times.tolist()}")
+        if np.any(np.diff(times) < 0.0):
+            raise ValueError("grid must be ascending")
+        tol = min(_WHOLE_STEP_TOL * max(1.0, self.horizon), 0.5 * self.dt)
+        if times[0] < 0.0 or times[-1] > self.horizon + tol:
+            raise ValueError(f"grid must lie within [0, horizon={self.horizon}]")
+        return np.floor((times + tol) / self.dt).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -112,8 +127,11 @@ def step_count(horizon: float, dt: float) -> int:
         raise ValueError(f"dt must be finite and > 0, got {dt}")
     if horizon < 0.0 or not math.isfinite(horizon):
         raise ValueError(f"horizon must be finite and >= 0, got {horizon}")
-    n = int(round(horizon / dt))
-    if abs(n * dt - horizon) > 1e-9 * max(1.0, horizon):
+    steps = horizon / dt
+    if not math.isfinite(steps):
+        raise ValueError(f"horizon {horizon} / dt={dt} is not a finite number of steps")
+    n = int(round(steps))
+    if abs(n * dt - horizon) > _WHOLE_STEP_TOL * max(1.0, horizon):
         raise ValueError(f"horizon {horizon} is not a whole number of dt={dt} steps")
     return n
 

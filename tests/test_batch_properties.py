@@ -1,5 +1,6 @@
 """Properties of a run that must not depend on how its replications are
-grouped in blocks, checked on models and sizes drawn by hypothesis.
+grouped in blocks, and of the curve's count of failures by step, checked on
+models and sizes drawn by hypothesis.
 
 Kept apart from tests/test_chunk_kernel.py so that without hypothesis only
 these tests are skipped, not the bitwise comparison with the step loop."""
@@ -78,3 +79,18 @@ def test_curve_accounts_for_every_replication(model, steps, n, seed):
     assert np.all(np.diff(curve.estimate) <= 0.0)
     survived = np.rint(curve.estimate * n).astype(np.int64)
     assert np.all(curve.soft_count + curve.hard_count + survived == n)
+
+
+@PROPERTY
+@given(dt=st.sampled_from([0.01, 0.02, 0.05, 0.1, 0.25]), points=st.integers(2, 41),
+       stride=st.integers(1, 4), seed=st.integers(0, 2**32))
+def test_curve_counts_failures_by_step(dt, points, stride, seed):
+    # grid time i lies on the end of step i * stride, however linspace rounds
+    # it; R-hat there is the share of replications that fail at a later step
+    horizon = (points - 1) * stride * dt
+    p = make_params(H=1.0, beta=0.5 * horizon, dt=dt, horizon=horizon)  # E[wear(horizon)] = H
+    ftime, _ = run_replications(p, horizon, dt, seed, 300)
+    fstep = np.rint(ftime / dt)
+    want = [np.mean(fstep > i * stride) for i in range(points)]
+    curve = estimate_reliability(p, np.linspace(0.0, horizon, points), 300, seed)
+    assert curve.estimate.tolist() == want

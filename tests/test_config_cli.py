@@ -116,6 +116,42 @@ class TestConfigParsing:
         assert cfg.model.degradation.theta_law is not None
         assert cfg.model.degradation.theta_law.mean == pytest.approx(1.0)
 
+    UNKNOWN_KEYS = {  # a key no section accepts -> the keys its section lists
+        "model.Theta": "H, D1, D0, alpha1, alpha2, beta, lambda0, eta, gamma, W, Y, theta",
+        "run.nreps": "n_reps, master_seed, grid, dt, horizon",
+        "run.grid.step": "start, stop, points",
+        "model.W.sd": "mean, stdev",
+        "model.theta.scale": "shape, rate",
+        "output.compress": "path, format",
+        "extra": "model, run, output",
+    }
+
+    @pytest.mark.parametrize("dotted", list(UNKNOWN_KEYS))
+    def test_unknown_keys_refused(self, tmp_path, capsys, dotted):
+        # a misspelt key used to be dropped, and the run went on without it
+        accepted = self.UNKNOWN_KEYS[dotted]
+        doc = valve_doc(**{"model.theta": {"shape": 20.0, "rate": 20.0}, dotted: 1.0})
+        with pytest.raises(ConfigError, match=rf"^{dotted}: unknown key; accepted: {accepted}$"):
+            parse_config(doc)
+        assert main(["curve", "--config", write_config(tmp_path, doc), "--print-config"]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {dotted}: unknown key")
+
+    def test_null_theta_is_no_theta(self):
+        doc = valve_doc()
+        doc["model"]["theta"] = None
+        assert parse_config(doc) == parse_config(valve_doc())
+
+    def test_readme_example_parses(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        example = readme.split("### Config example", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+        cfg = parse_config(json.loads(example))
+        assert cfg.run.n_reps == 100_000 and cfg.model.numerics.horizon == 20.0
+
+    def test_zero_horizon(self):
+        cfg = parse_config(valve_doc(**{"run.horizon": 0.0, "run.grid": {
+            "start": 0.0, "stop": 0.0, "points": 1}}))
+        assert cfg.model.numerics.horizon == 0.0
+
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(str(tmp_path / "nope.json"))
@@ -189,6 +225,15 @@ class TestCurveCommand:
         fine = write_config(tmp_path, valve_doc(), "fine.json")
         assert main(["curve", "--config", fine, "--dt", "0.3"]) == 2
         assert "config error: --dt:" in capsys.readouterr().err
+
+    def test_dt_without_finite_step_count_is_config_error(self, tmp_path, capsys):
+        # horizon / dt overflows to inf; it used to escape as an OverflowError
+        bad = write_config(tmp_path, valve_doc(**{"run.dt": 1e-320}), "bad.json")
+        assert main(["curve", "--config", bad]) == 2
+        assert capsys.readouterr().err.startswith("config error: run.horizon/run.dt: ")
+        fine = write_config(tmp_path, valve_doc(), "fine.json")
+        assert main(["curve", "--config", fine, "--dt", "1e-320"]) == 2
+        assert capsys.readouterr().err.startswith("config error: --dt: ")
 
     def test_print_config_roundtrip(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, valve_doc())

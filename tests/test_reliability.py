@@ -11,6 +11,7 @@ from shockwear import (
     UnsupportedConfigError,
     analytic_reliability,
     estimate_reliability,
+    run_replications,
     sweep,
 )
 from shockwear.config import load_config
@@ -225,6 +226,36 @@ class TestSweep:
         p = make_params()
         with pytest.raises(ValueError):
             apply_sweep_value(p, "D0", 50.0)  # would exceed D1
+
+
+def _share_past(params, steps, n_reps, seed):
+    """R-hat at each grid step from the engine's failure steps: the share of
+    replications whose failure step rint(time / dt) is past it (survivors
+    carry an infinite time)."""
+    num = params.numerics
+    ftime, _ = run_replications(params, num.horizon, num.dt, seed, n_reps)
+    fstep = np.rint(ftime / num.dt)
+    return np.array([np.mean(fstep > k) for k in steps])
+
+
+class TestCountByStep:
+    # linspace(0, 3, 11) at dt = 0.1: 7 of the 11 times fall an ulp short of
+    # their step's end (0.8999999999999999 against 9 * 0.1 = 0.9), and the
+    # failures of that step still count
+    GRID = np.linspace(0.0, 3.0, 11)
+    STEPS = np.arange(11) * 3
+
+    def test_estimate_counts_failures_by_step(self):
+        p = make_params(H=1.0, dt=0.1, horizon=3.0)
+        curve = estimate_reliability(p, self.GRID, 20_000, 1)
+        assert np.array_equal(curve.estimate, _share_past(p, self.STEPS, 20_000, 1))
+        assert np.array_equal(curve.grid, self.GRID)  # the caller's times, unchanged
+
+    def test_sweep_counts_failures_by_step(self):
+        p = make_params(H=1.0, dt=0.1, horizon=3.0)
+        for value, curve in sweep(p, "H", [1.0, 1.5], self.GRID, 20_000, 1):
+            want = _share_past(apply_sweep_value(p, "H", value), self.STEPS, 20_000, 1)
+            assert np.array_equal(curve.estimate, want)
 
 
 class TestCoverage:

@@ -7,10 +7,12 @@ import pytest
 
 from shockwear import (
     GammaLaw,
+    Numerics,
     StepSizeError,
     run_replications,
     simulate_paths,
     simulate_replication,
+    step_count,
 )
 from shockwear import simulate
 from shockwear.kernel import facilitation_pmf, gamma_cdf, normal_cdf
@@ -81,6 +83,35 @@ class TestBasics:
         p = make_params(lambda0=20.0, horizon=1.0)
         with pytest.raises(StepSizeError):
             run_replications(p, 1.0, 0.01, 3, 10)
+
+
+class TestStepGrid:
+    @pytest.mark.parametrize("t, steps", [
+        (0.8999999999999999, 90),  # an ulp short of step 90's end counts as that end
+        (0.355, 35),               # halfway through step 36
+        (0.0, 0),
+        (3.0 + 1e-13, 300),        # within the whole-step tolerance of the horizon
+    ])
+    def test_steps_ended(self, t, steps):
+        assert Numerics(dt=0.01, horizon=3.0).steps_ended([t]).tolist() == [steps]
+
+    @pytest.mark.parametrize("times, message", [
+        ([], "non-empty"),
+        ([0.5, math.nan], "finite"),
+        ([1.0, 0.5], "ascending"),
+        ([-0.01, 0.5], "within"),
+        ([0.5, 3.01], "within"),
+    ])
+    def test_steps_ended_refuses(self, times, message):
+        with pytest.raises(ValueError, match=message):
+            Numerics(dt=0.01, horizon=3.0).steps_ended(times)
+
+    def test_infinite_step_count_refused(self):
+        # horizon / dt overflows to inf, which round() cannot take
+        with pytest.raises(ValueError, match="not a finite number of steps"):
+            step_count(20.0, 1e-320)
+        with pytest.raises(ValueError, match="not a finite number of steps"):
+            Numerics(dt=1e-320, horizon=20.0)
 
 
 class TestReductions:
