@@ -156,13 +156,17 @@ def cmd_validate(cfg: RunConfig, args) -> int:
 def _path_chunks(outcomes, stride: int) -> Iterable[str]:
     """The rows of each trajectory as one string: every stride-th step and the last.
 
-    Each distinct value is formatted once, with the bytes of formatting every
-    field of every row: a run's traces share their times, so each t is
-    formatted once per run; jumps changes only at shocks, so it is formatted
-    again only when it differs from the row before (it only accumulates
-    positive jumps from 0.0, so it is never -0.0, whose text differs); and
-    total is pure's text while jumps == 0.0, since pure + 0.0 == pure for
-    pure >= 0.
+    Each field keeps its text from the row before and is formatted again only
+    when its value changes, which gives the bytes of formatting every field
+    of every row: equal floats have equal text except 0.0 and -0.0, and no
+    field is -0.0 (pure and jumps are sums of nonnegative terms from 0.0),
+    while a NaN never equals the row before, so it is formatted on every row.
+    jumps changes only at shocks, and pure repeats whenever a step's wear
+    increment is below half an ulp of the path (most steps at a wear shape
+    of 0.005 per step). total is formatted again when either changed, and
+    is pure's text while jumps == 0.0, since pure + 0.0 == pure for
+    pure >= 0. A run's traces share their times, so each t is formatted
+    once per run.
     """
     t_text: dict[float, str] = {}
     for rep, outcome in enumerate(outcomes):
@@ -173,16 +177,18 @@ def _path_chunks(outcomes, stride: int) -> Iterable[str]:
         changed_at = outcome.rate_change_time
         if changed_at is None:
             changed_at = float("inf")
-        last_jumps = None
+        last_pure = last_jumps = total_s = None
         lines = []
         for t, pure, jumps, n_shocks in kept:
             t_s = t_text.get(t)
             if t_s is None:
                 t_s = t_text[t] = f"{t:.17g}"
-            pure_s = f"{pure:.17g}"
+            if pure != last_pure:
+                last_pure, pure_s, total_s = pure, f"{pure:.17g}", None
             if jumps != last_jumps:
-                last_jumps, jumps_s = jumps, f"{jumps:.17g}"
-            total_s = pure_s if jumps == 0.0 else f"{pure + jumps:.17g}"
+                last_jumps, jumps_s, total_s = jumps, f"{jumps:.17g}", None
+            if total_s is None:
+                total_s = pure_s if jumps == 0.0 else f"{pure + jumps:.17g}"
             lines.append(f"{rep},{t_s},{pure_s},{jumps_s},{total_s},{n_shocks},"
                          f"{'1' if t >= changed_at else '0'}\n")
         yield "".join(lines)

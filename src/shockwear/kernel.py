@@ -98,7 +98,7 @@ def gamma_cdf(x: float, law: GammaLaw) -> float:
 def _log_gamma_prefactor(a: float, z: float) -> float:
     """log(z^a e^-z / Gamma(a+1)), the factor the series and the fraction share.
 
-    For a >= 10 the Stirling form -a*(r - 1 - log r) - log(2 pi a)/2 - lambda(a),
+    For a >= 10 the Stirling form -a*(r - 1 - log r) - log(2 pi a)/2 - _stirling_error(a),
     r = z/a, avoids the cancellation between a*log(z) and lgamma(a+1), which
     are each in the thousands at a = 1e3 (DiDonato & Morris 1986).
     """
@@ -106,11 +106,19 @@ def _log_gamma_prefactor(a: float, z: float) -> float:
         return a * math.log(z) - z - math.lgamma(a + 1.0)
     d = (z - a) / a
     phi = d - math.log1p(d) if abs(d) < 0.5 else d - math.log(z / a)
-    # lambda(a) = log(Gamma(a+1)) - Stirling's approximation, to 1e-15 at a >= 10
+    return -a * phi - 0.5 * (_LOG_2PI + math.log(a)) - _stirling_error(a)
+
+
+def _stirling_error(a: float) -> float:
+    """log(Gamma(a+1)) minus Stirling's (a + 1/2) log a - a + log(2 pi)/2, a > 0.
+
+    From a = 10 up it is the asymptotic series, to 1e-15.
+    """
+    if a < 10.0:
+        return math.lgamma(a + 1.0) - (a + 0.5) * math.log(a) + a - 0.5 * _LOG_2PI
     w = 1.0 / (a * a)
-    lam = (1.0 / 12.0 - w * (1.0 / 360.0 - w * (1.0 / 1260.0 - w * (
+    return (1.0 / 12.0 - w * (1.0 / 360.0 - w * (1.0 / 1260.0 - w * (
         1.0 / 1680.0 - w * (1.0 / 1188.0 - w * 691.0 / 360360.0))))) / a
-    return -a * phi - 0.5 * (_LOG_2PI + math.log(a)) - lam
 
 
 def normal_cdf(x: float, law: NormalLaw) -> float:
@@ -125,13 +133,16 @@ def facilitation_pmf(i: int, eta: float, big_lambda: float) -> float:
     (1 + eta*i) after the i-th event, integrated hazard ``big_lambda``.
 
     Closed form is negative-binomial with r = 1/eta and success probability
-    exp(-eta*big_lambda); evaluated in log space so non-integer 1/eta and
-    large i stay finite. The i = 0 case reduces exactly to exp(-big_lambda).
+    exp(-eta*big_lambda): C(r + i - 1, i) * q**i * exp(-big_lambda) with
+    q = 1 - exp(-eta*big_lambda). The log-gammas of C are written with
+    Stirling's formula, so their large terms cancel in closed form, not in a
+    difference of log-gammas that loses digits at small eta or large i
+    (as in Loader 2000). The i = 0 case reduces exactly to exp(-big_lambda).
     """
     if i < 0 or int(i) != i:
         raise ValueError(f"event count must be a nonnegative integer, got {i}")
-    if not (math.isfinite(eta) and eta > 0.0):
-        raise ValueError(f"eta must be finite and > 0, got {eta}")
+    if not (eta > 0.0 and math.isfinite(eta) and math.isfinite(1.0 / eta)):
+        raise ValueError(f"eta must be finite and > 0 with a finite 1/eta, got {eta}")
     if not (math.isfinite(big_lambda) and big_lambda >= 0.0):
         raise ValueError(f"big_lambda must be finite and >= 0, got {big_lambda}")
     i = int(i)
@@ -140,10 +151,17 @@ def facilitation_pmf(i: int, eta: float, big_lambda: float) -> float:
     if i == 0:
         # (exp(-eta*L))**(1/eta) == exp(-L), kept exact by construction
         return math.exp(-big_lambda)
-    inv_eta = 1.0 / eta
-    log_comb = math.lgamma(inv_eta + i) - math.lgamma(i + 1.0) - math.lgamma(inv_eta)
-    log_p = log_comb + i * math.log1p(-math.exp(-eta * big_lambda)) - big_lambda
-    return math.exp(log_p)
+    r = 1.0 / eta
+    n = r + i
+    q = -math.expm1(-eta * big_lambda)  # to full relative precision at small eta*big_lambda
+    log_n_r = math.log1p(i / r)
+    # C(n - 1, i) = (r/n) Gamma(n+1) / (Gamma(r+1) Gamma(i+1)), each Gamma by
+    # Stirling; the terms are summed with one rounding
+    return math.exp(math.fsum([
+        _stirling_error(n), -_stirling_error(r), -_stirling_error(i),
+        r * log_n_r, -0.5 * log_n_r, -0.5 * math.log(2.0 * math.pi * i),
+        i * math.log(n * q / i), -big_lambda,
+    ]))
 
 
 def iid_sum_normal(m: int, law: NormalLaw) -> NormalLaw:

@@ -75,6 +75,7 @@ _ROWS = 2048  # default replications per block (sizes the refill buffers); not i
 # ulps of 1 (1.1e-16 each), well inside this.
 _ARRIVAL_SLACK = 2e-15
 _WHOLE_STEP_TOL = 1e-9  # near = within this times max(1, horizon), and at most half a step
+_MAX_STEPS = 2**53  # the most steps whose indices and end times float64 holds exactly
 
 Status = Literal["soft_failed", "hard_failed", "survived"]
 _STATUS = {0: "survived", 1: "soft_failed", 2: "hard_failed"}
@@ -123,6 +124,9 @@ class ReplicationOutcome:
 
 
 def step_count(horizon: float, dt: float) -> int:
+    """The number of steps of size ``dt`` in ``horizon``: a whole number, to
+    within ``1e-9 * max(1, horizon)``, and at most 2**53, above which float64
+    cannot hold every step index and end time ``k*dt`` exactly."""
     if dt <= 0.0 or not math.isfinite(dt):
         raise ValueError(f"dt must be finite and > 0, got {dt}")
     if horizon < 0.0 or not math.isfinite(horizon):
@@ -130,6 +134,8 @@ def step_count(horizon: float, dt: float) -> int:
     steps = horizon / dt
     if not math.isfinite(steps):
         raise ValueError(f"horizon {horizon} / dt={dt} is not a finite number of steps")
+    if steps > _MAX_STEPS:
+        raise ValueError(f"horizon {horizon} / dt={dt} is {steps:.4g} steps, more than 2**53")
     n = int(round(steps))
     if abs(n * dt - horizon) > _WHOLE_STEP_TOL * max(1.0, horizon):
         raise ValueError(f"horizon {horizon} is not a whole number of dt={dt} steps")

@@ -235,11 +235,32 @@ class TestCurveCommand:
         assert main(["curve", "--config", fine, "--dt", "1e-320"]) == 2
         assert capsys.readouterr().err.startswith("config error: --dt: ")
 
+    def test_dt_past_step_count_cap_is_config_error(self, tmp_path, capsys):
+        # 10 / 1e-300 = 1e301 steps is finite but past 2**53; --print-config shows
+        # the refusal comes with the config, before any run
+        bad = write_config(tmp_path, valve_doc(**{"run.dt": 1e-300}), "bad.json")
+        assert main(["curve", "--config", bad, "--print-config"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: run.horizon/run.dt: ") and "2**53" in err
+        fine = write_config(tmp_path, valve_doc(), "fine.json")
+        assert main(["curve", "--config", fine, "--dt", "1e-300", "--print-config"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --dt: ") and "2**53" in err
+
     def test_print_config_roundtrip(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, valve_doc())
         assert main(["curve", "--config", cfg_path, "--print-config"]) == 0
         echoed = json.loads(capsys.readouterr().out)
         assert parse_config(echoed) == load_config(cfg_path)
+
+    def test_pinned_digest(self, tmp_path):
+        # SHA-256 of the curve CSV on valve_doc (2000 reps), pinned so a byte
+        # change in the engine, the reduction or the writer fails here
+        out = tmp_path / "curve.csv"
+        assert main(["curve", "--config", write_config(tmp_path, valve_doc()),
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "c2a257b0be0bd0019f15f5cedef9cb12714a71da926fea292bd0aaf5b5c8eb17")
 
 
 class TestSweepCommand:
@@ -290,6 +311,15 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert all(name in err for name in names) and "Params." not in err
+
+
+    def test_pinned_digest(self, tmp_path):
+        # SHA-256 of a side-by-side gamma sweep at dt=0.5 (20 steps, 2000 reps)
+        out = tmp_path / "sweep.csv"
+        cfg = write_config(tmp_path, valve_doc(**{"run.dt": 0.5}))
+        assert main(["sweep", "gamma", "0,0.001,0.01", "--config", cfg, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "fa4dad00b81d3358d02880ba485714e66f59ea2f7b4c3e4f86f93a892c7cefc7")
 
 
 class TestValidateCommand:
@@ -363,6 +393,13 @@ class TestValidateCommand:
                                     "model.Y": {"mean": 0.0, "stdev": 0.5}})
         assert main(["validate", "--config", write_config(tmp_path, doc)]) == 2
         assert "P(Y < 0)" in capsys.readouterr().err
+
+    def test_pinned_stdout_digest(self, tmp_path, capsys):
+        # SHA-256 of validate's report on decoupled_doc: the Monte Carlo
+        # estimates and the oracle's values as printed
+        assert main(["validate", "--config", write_config(tmp_path, self.decoupled_doc())]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "64203459d135200120dd8e7e4716c0462ae5b438d74320d0b669e661c7b68b4d")
 
 
 def aggressive_doc(**overrides):

@@ -127,6 +127,89 @@ class TestFacilitationPmf:
         mass = facilitation_mass(eta, lam, tail_tol=1e-12)
         assert mass >= 1.0 - 1e-9
 
+    # facilitation_pmf(i, eta, big_lambda) at 50 digits, from mpmath's loggamma,
+    # expm1 and exp at the float arguments: eta in {1e-6, 1e-3, 0.05, 0.2, 1, 5},
+    # big_lambda in {0.1, 1, 10}, i in {1, 5, 58, 200, 1000}, leaving out the
+    # cells below 1e-290
+    REFERENCE = {
+        (1e-06, 0.1, 1): 9.0483737279409022e-2,
+        (1e-06, 0.1, 5): 7.540385335251859e-8,
+        (1e-06, 0.1, 58): 3.855809597564869e-137,
+        (1e-06, 1.0, 1): 3.6787925723178305e-1,
+        (1e-06, 1.0, 5): 3.065685002267968e-3,
+        (1e-06, 1.0, 58): 1.5676142808435588e-79,
+        (1e-06, 10.0, 1): 4.5399702763592703e-4,
+        (1e-06, 10.0, 5): 3.7832707307425593e-2,
+        (1e-06, 10.0, 58): 1.9340848512588899e-25,
+        (1e-06, 10.0, 200): 5.8664332341286584e-180,
+        (0.001, 0.1, 1): 9.0479217767308248e-2,
+        (0.001, 0.1, 5): 7.6140754822825117e-8,
+        (0.001, 0.1, 58): 1.9437982124580436e-136,
+        (0.001, 1.0, 1): 3.6769556274877155e-1,
+        (0.001, 1.0, 5): 3.0886953279342439e-3,
+        (0.001, 1.0, 58): 7.6993151701960231e-79,
+        (0.001, 10.0, 1): 4.517368489128176e-4,
+        (0.001, 10.0, 5): 3.7270229369238691e-2,
+        (0.001, 10.0, 58): 7.3207370130194844e-25,
+        (0.001, 10.0, 200): 2.7876368213645733e-172,
+        (0.05, 0.1, 1): 9.0257908993879209e-2,
+        (0.05, 0.1, 5): 1.1869268581902194e-7,
+        (0.05, 0.1, 58): 1.3789044558282913e-116,
+        (0.05, 1.0, 1): 3.5883384120573934e-1,
+        (0.05, 1.0, 5): 4.3144428714788553e-3,
+        (0.05, 1.0, 58): 1.5293694533125264e-59,
+        (0.05, 1.0, 200): 1.7042966449716567e-236,
+        (0.05, 10.0, 1): 3.5726960825475387e-4,
+        (0.05, 10.0, 5): 1.8198662443687193e-2,
+        (0.05, 10.0, 58): 7.371180539748061e-11,
+        (0.05, 10.0, 200): 4.7151792803753986e-59,
+        (0.2, 0.1, 1): 8.9584906594010293e-2,
+        (0.2, 0.1, 5): 3.4706637699120923e-7,
+        (0.2, 0.1, 58): 8.1536649643519583e-94,
+        (0.2, 1.0, 1): 3.3342614629620112e-1,
+        (0.2, 1.0, 5): 9.0718678590778363e-3,
+        (0.2, 1.0, 58): 1.9725073549611897e-38,
+        (0.2, 1.0, 200): 1.1912255677946903e-141,
+        (0.2, 10.0, 1): 1.962785870457832e-4,
+        (0.2, 10.0, 5): 2.7648044152832896e-3,
+        (0.2, 10.0, 58): 5.504748853381786e-3,
+        (0.2, 10.0, 200): 7.4484361988763513e-10,
+        (0.2, 10.0, 1000): 1.34560637868486e-57,
+        (1.0, 0.1, 1): 8.6106664957977719e-2,
+        (1.0, 0.1, 5): 7.0615759766184313e-6,
+        (1.0, 0.1, 58): 5.1004809493877573e-60,
+        (1.0, 0.1, 200): 4.4649224910979907e-205,
+        (1.0, 1.0, 1): 2.3254415793482963e-1,
+        (1.0, 1.0, 5): 3.7128302598437466e-2,
+        (1.0, 1.0, 58): 1.0282544783977752e-12,
+        (1.0, 1.0, 200): 5.3172685196257223e-41,
+        (1.0, 1.0, 1000): 2.3207100890810793e-200,
+        (1.0, 10.0, 1): 4.5397868608862413e-5,
+        (1.0, 10.0, 5): 4.5389624930092473e-5,
+        (1.0, 10.0, 58): 4.5280537402885662e-5,
+        (1.0, 10.0, 200): 4.4989555637633398e-5,
+        (1.0, 10.0, 1000): 4.3384819447118077e-5,
+        (5.0, 0.1, 1): 7.1205156388386631e-2,
+        (5.0, 0.1, 5): 5.0463455162851496e-4,
+        (5.0, 0.1, 58): 2.4443738465589206e-26,
+        (5.0, 0.1, 200): 2.7280961437227751e-84,
+        (5.0, 1.0, 1): 7.3080137798955193e-2,
+        (5.0, 1.0, 5): 2.1031811582395118e-2,
+        (5.0, 1.0, 58): 2.0997785832342049e-3,
+        (5.0, 1.0, 200): 2.9893996063172261e-4,
+        (5.0, 1.0, 1000): 3.6950650083889609e-7,
+        (5.0, 10.0, 1): 9.0799859524969703e-6,
+        (5.0, 10.0, 5): 2.6847702464343042e-6,
+        (5.0, 10.0, 58): 3.8354844211692531e-7,
+        (5.0, 10.0, 200): 1.4261489015163776e-7,
+        (5.0, 10.0, 1000): 3.9366601664356114e-8,
+    }
+
+    def test_matches_high_precision_reference(self):
+        # a difference of log-gammas lost up to 2.5e-8 here (i=58, eta=1e-6)
+        for (eta, lam, i), want in self.REFERENCE.items():
+            assert facilitation_pmf(i, eta, lam) == pytest.approx(want, rel=1e-13), (eta, lam, i)
+
     def test_values_are_probabilities(self):
         for eta in (0.05, 0.3, 2.0):
             for lam in (0.0, 0.7, 4.0):
@@ -147,6 +230,13 @@ class TestFacilitationPmf:
             facilitation_pmf(-1, 0.2, 1.0)
         with pytest.raises(ValueError):
             facilitation_pmf(1, 0.2, -2.0)
+
+    def test_tiny_eta(self):
+        # eta = 1e-300 is the Poisson limit; at 1e-320 1/eta overflows, which
+        # is refused rather than returned as nan
+        assert facilitation_pmf(3, 1e-300, 1.0) == pytest.approx(math.exp(-1.0) / 6.0, rel=1e-14)
+        with pytest.raises(ValueError, match="1/eta"):
+            facilitation_pmf(3, 1e-320, 1.0)
 
 
 class TestAgainstScipy:

@@ -113,6 +113,15 @@ class TestStepGrid:
         with pytest.raises(ValueError, match="not a finite number of steps"):
             Numerics(dt=1e-320, horizon=20.0)
 
+    def test_step_count_capped_at_2_to_53(self):
+        # above 2**53 steps float64 cannot hold every step index and end time
+        # k*dt, and steps_ended's int64 cast of such counts is undefined
+        assert step_count(20.0, 20.0 / 2**53) == 2**53
+        with pytest.raises(ValueError, match=r"horizon 20\.0 / dt=1e-300 .* more than 2\*\*53"):
+            step_count(20.0, 1e-300)
+        with pytest.raises(ValueError, match=r"more than 2\*\*53"):
+            Numerics(dt=1e-300, horizon=20.0)
+
 
 class TestReductions:
     def test_shock_free_matches_gamma_law(self):
