@@ -60,6 +60,18 @@ def _write_csv(path: str, header: str, chunks: Iterable[str]) -> None:
         fh.writelines(chunks)
 
 
+def _numbers(text: str, name: str) -> list[float]:
+    """The comma-separated numbers of ``text``; an empty or non-numeric entry
+    is refused, naming ``name``, rather than dropped."""
+    values = []
+    for entry in text.split(","):
+        try:
+            values.append(float(entry))
+        except ValueError:
+            raise ConfigError(f"{name}: {entry!r} in {text!r} is not a number") from None
+    return values
+
+
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     run = cfg.run
     model = cfg.model
@@ -98,10 +110,7 @@ def cmd_curve(cfg: RunConfig, args) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
-    try:
-        values = [float(v) for v in args.values.split(",") if v.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError(f"could not parse sweep values {args.values!r}: {exc}") from exc
+    values = _numbers(args.values, "sweep values")
     path = _output_path(cfg)
     try:
         curves = sweep(cfg.model, args.parameter, values, cfg.run.grid.times(),
@@ -123,10 +132,7 @@ def cmd_validate(cfg: RunConfig, args) -> int:
     horizon = cfg.model.numerics.horizon
     times = [t for t in (1.0, 2.0, 4.0, 8.0) if t <= horizon]
     if args.times:
-        try:
-            times = [float(v) for v in args.times.split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"could not parse --times: {exc}") from exc
+        times = _numbers(args.times, "--times")
     elif not times:
         raise ConfigError(f"--times: none of the default check times 1,2,4,8 lies within "
                           f"run.horizon={horizon}; give --times")

@@ -8,21 +8,20 @@ class ConfigError(ValueError):
 class StepSizeError(RuntimeError):
     """Raised when the shock intensity is too high for the chosen time step.
 
-    Carries ``suggested_dt``, an upper bound on dt that would satisfy the guard
-    for the intensity observed when the error was raised. When the engine
-    raises it, ``time`` is the end-of-step clock of the run's earliest step
+    ``suggested_dt`` is the largest dt that meets the guard at the intensity seen.
+    ``time`` and ``rep_index`` are constructor arguments, None unless the engine
+    raises it; then ``time`` is the end-of-step clock of the run's earliest step
     that broke the guard, for any batch size, and ``rep_index`` the replication
     with the largest intensity there, so ``simulate_replication(params,
     master_seed, rep_index=err.rep_index)`` raises again at the same ``time``
     with the same ``suggested_dt``, on the run's step grid ``params.numerics``.
     """
 
-    time = None
-    rep_index = None
-
-    def __init__(self, message, suggested_dt=None):
+    def __init__(self, message, suggested_dt=None, time=None, rep_index=None):
         super().__init__(message)
         self.suggested_dt = suggested_dt
+        self.time = time
+        self.rep_index = rep_index
 
 
 class IntegrationError(RuntimeError):

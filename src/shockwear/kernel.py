@@ -98,12 +98,12 @@ def gamma_cdf(x: float, law: GammaLaw) -> float:
 def _log_gamma_prefactor(a: float, z: float) -> float:
     """log(z^a e^-z / Gamma(a+1)), the factor the series and the fraction share.
 
-    For a >= 10 the Stirling form -a*(r - 1 - log r) - log(2 pi a)/2 - _stirling_error(a),
-    r = z/a, avoids the cancellation between a*log(z) and lgamma(a+1), which
-    are each in the thousands at a = 1e3 (DiDonato & Morris 1986).
+    It is taken in the Stirling form -a*(r - 1 - log r) - log(2 pi a)/2 -
+    _stirling_error(a), r = z/a, for every shape: at large a this avoids the
+    cancellation between a*log(z) and lgamma(a+1), which are each in the
+    thousands at a = 1e3 (DiDonato & Morris 1986), and below a = 10, where
+    _stirling_error is lgamma-based, it is a*log(z) - z - lgamma(a+1).
     """
-    if a < 10.0:
-        return a * math.log(z) - z - math.lgamma(a + 1.0)
     d = (z - a) / a
     phi = d - math.log1p(d) if abs(d) < 0.5 else d - math.log(z / a)
     return -a * phi - 0.5 * (_LOG_2PI + math.log(a)) - _stirling_error(a)

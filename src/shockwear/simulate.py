@@ -193,8 +193,9 @@ class BatchResult:
 
 
 class _Batch:
-    """One parameter set's rows of one block: row state by block-local id and
-    mark streams, advanced a chunk at a time on the path draws of its block."""
+    """One parameter set's rows of one block, advanced a chunk at a time on its
+    block's path draws. Row state, by block-local id, is the path state (pure,
+    jumps, nshk) and mark streams; phase and liveness are read from ``out``."""
 
     def __init__(self, params: ModelParams, theta: np.ndarray, master_seed: int,
                  rep_lo: int, out: BatchResult):
@@ -226,8 +227,6 @@ class _Batch:
         self.pure = np.zeros(n)
         self.jumps = np.zeros(n)
         self.nshk = out.n_shocks  # kept current; a row's count is final once it stops
-        self.changed = np.zeros(n, dtype=bool)
-        self.alive = np.ones(n, dtype=bool)
 
     def advance(self, ids: np.ndarray, k0: int, g1: np.ndarray, u: np.ndarray,
                 path: np.ndarray) -> list[tuple]:
@@ -235,9 +234,9 @@ class _Batch:
 
         ``g1`` and ``u`` hold the rows' pre-change increments and uniforms of
         the chunk, which are only read; ``path`` is scratch of the same shape
-        as ``g1``. Returns the guard violations met, one ``(step, rate,
+        as ``g1``. Returns the guard violations met, one ``(step, -rate,
         rep_index)`` per row that stopped at its first step with ``rate*dt >
-        MAX_RATE_DT``.
+        MAX_RATE_DT``: the earliest step, at the largest intensity, sorts first.
         """
         m, span = g1.shape
         u2, upois = u[:, :span], u[:, span:]
@@ -250,17 +249,13 @@ class _Batch:
 
         jumps = self.jumps[ids]
         nshk = self.nshk[ids]
-        changed = self.changed[ids]
-        alive = np.ones(m, dtype=bool)
+        changed = ~np.isnan(self.out.rate_change_time[ids])
         if self.shape_post is not None and changed.any():
             rows = np.flatnonzero(changed)
             self._repath(path, g1, u2, ids, rows, 0, self.pure[ids[rows]])
 
         want_traces = self.out.traces is not None
-        if want_traces:
-            start = (jumps.tolist(), nshk.tolist())
-            events: dict[int, list] = {}
-            end = np.full(m, span - 1)
+        events: dict[int, list] = {}
 
         violations = []
         act = np.arange(m)
@@ -284,7 +279,7 @@ class _Batch:
             if running.any():
                 counts[running] = poisson_counts(mu[running], upois[act[running], e[running]])
             for j in np.flatnonzero(over):
-                violations.append((k0 + int(e[j]), rate[j], self.rep_lo + int(ids[act[j]])))
+                violations.append((k0 + int(e[j]), -rate[j], self.rep_lo + int(ids[act[j]])))
 
             failed = soft.copy()
             hard = np.zeros(act.size, dtype=bool)
@@ -313,20 +308,15 @@ class _Batch:
                 self.out.failure_time[gone] = (k0 + 1 + cols) * self.dt
                 self.out.mode[gone] = np.where(hard[failed], 2, 1).astype(np.int8)
                 self.out.final_total[gone] = total[failed]
-                alive[rows] = False
-                if want_traces:
-                    end[rows] = cols
             pos[act] = e + 1
             keep = ~(failed | over) & (e + 1 < span)
             act = act[keep]
 
         if want_traces:
-            self._extend_traces(ids, k0, span, path, start, events, end)
+            self._extend_traces(ids, k0, span, path, pos, events)
         self.pure[ids] = path[:, -1]
         self.jumps[ids] = jumps
         self.nshk[ids] = nshk
-        self.changed[ids] = changed
-        self.alive[ids] = alive
         return violations
 
     def _rate(self, nshk, total):
@@ -419,30 +409,19 @@ class _Batch:
         np.cumsum(inc, axis=1, out=inc)
         path[rows, j0:] = inc[:, 1::2] if self.d_alpha > 0.0 else inc
 
-    def _extend_traces(self, ids, k0, span, path, start, events, end) -> None:
-        """Append a (t, pure, jumps, n_shocks) row per step each row was alive."""
+    def _extend_traces(self, ids, k0, span, path, pos, events) -> None:
+        """Append a (t, pure, jumps, n_shocks) row per step each row was alive; runs
+        before the write-back, so jumps and nshk still hold the chunk start."""
         times = [(k0 + j + 1) * self.dt for j in range(span)]
-        jumps0, nshk0 = start
-        for r, i in enumerate(ids.tolist()):
-            stop = int(end[r]) + 1
+        jumps0, nshk0 = self.jumps[ids].tolist(), self.nshk[ids].tolist()
+        stops = np.where(self.out.mode[ids] != 0, pos, span).tolist()
+        for r, (i, stop) in enumerate(zip(ids.tolist(), stops)):
             pure = path[r, :stop].tolist()
             trace = self.out.traces[i]
             col, jm, ns = 0, jumps0[r], nshk0[r]
             for nxt, jm_next, ns_next in events.get(r, []) + [(stop, None, None)]:
                 trace.extend(zip(times[col:nxt], pure[col:nxt], repeat(jm), repeat(ns)))
                 col, jm, ns = nxt, jm_next, ns_next
-
-
-def _step_size_error(violations: list[tuple], num: Numerics) -> StepSizeError:
-    """The guard error of the step loop: its earliest violating step, at the
-    largest intensity there, naming that replication."""
-    step, rate, rep_index = min(violations, key=lambda v: (v[0], -v[1], v[2]))
-    dt = num.dt
-    t_end = (step + 1) * dt
-    err = StepSizeError(f"intensity*dt = {rate * dt:.4g} exceeds {MAX_RATE_DT} at t={t_end:.6g}; "
-                        f"use dt <= {MAX_RATE_DT / rate:.4g}", suggested_dt=MAX_RATE_DT / rate)
-    err.time, err.rep_index = t_end, rep_index
-    return err
 
 
 def _run_block(param_sets: list[ModelParams], master_seed: int, rep_lo: int,
@@ -467,7 +446,9 @@ def _run_block(param_sets: list[ModelParams], master_seed: int, rep_lo: int,
     u_buf = np.empty((n, 2 * cols))
     path_buf = np.empty((n, cols))
     for k0 in range(0, n_steps, _CHUNK):
-        union = np.flatnonzero(np.logical_or.reduce([b.alive for b in batches]))
+        # each set's running rows; none once the set has met a violation
+        live = [(b.out.mode == 0) & (not found) for b, found in zip(batches, violations)]
+        union = np.flatnonzero(np.logical_or.reduce(live))
         if union.size == 0:
             break
         m, span = union.size, min(_CHUNK, n_steps - k0)
@@ -478,17 +459,15 @@ def _run_block(param_sets: list[ModelParams], master_seed: int, rep_lo: int,
             g.standard_gamma(shape, out=g1_row)
             g.random(out=u_row)
         g1 *= scale  # the draws of g.gamma(shape, scale): numpy scales standard gammas
-        for b, found in zip(batches, violations):
-            ids = np.flatnonzero(b.alive)
+        for b, found, rows_alive in zip(batches, violations, live):
+            ids = np.flatnonzero(rows_alive)
             if ids.size == m:
                 found += b.advance(ids, k0, g1, u, path_buf[:m, :span])
             elif ids.size:
                 rows = np.searchsorted(union, ids)
                 found += b.advance(ids, k0, g1[rows], u[rows], path_buf[:ids.size, :span])
-            if found:
-                b.alive[:] = False
-    for b in batches:
-        rows = np.flatnonzero(b.alive)
+    for b in batches:  # a set with a violation raises, so its totals are never read
+        rows = np.flatnonzero(b.out.mode == 0)
         b.out.final_total[rows] = b.pure[rows] + b.jumps[rows]
     return violations
 
@@ -517,9 +496,15 @@ def simulate_sets(param_sets: list[ModelParams], master_seed: int, rep_lo: int, 
         views = [out.view(lo - rep_lo, min(lo + rows, rep_hi) - rep_lo) for out in outs]
         for found, block in zip(violations, _run_block(param_sets, master_seed, lo, views)):
             found += block
+    dt = param_sets[0].numerics.dt
     for found in violations:
-        if found:
-            raise _step_size_error(found, param_sets[0].numerics)
+        if found:  # the step loop's error: its earliest violating step, at the largest intensity
+            step, neg_rate, rep_index = min(found)
+            rate, t_end = -neg_rate, (step + 1) * dt
+            raise StepSizeError(
+                f"intensity*dt = {rate * dt:.4g} exceeds {MAX_RATE_DT} at t={t_end:.6g}; "
+                f"use dt <= {MAX_RATE_DT / rate:.4g}",
+                suggested_dt=MAX_RATE_DT / rate, time=t_end, rep_index=rep_index)
     return outs
 
 

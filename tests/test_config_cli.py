@@ -152,6 +152,25 @@ class TestConfigParsing:
             "start": 0.0, "stop": 0.0, "points": 1}}))
         assert cfg.model.numerics.horizon == 0.0
 
+    @pytest.mark.parametrize("text, message", [
+        (json.dumps(valve_doc(output=None)), "missing section 'output'"),
+        (json.dumps(valve_doc(run=5)), "run: expected an object"),
+        (json.dumps(valve_doc()).replace('"H": 5.0', '"H": NaN'), "model.H: must be finite"),
+        (json.dumps(valve_doc(**{"model.W": 10})), "model.W: expected an object"),
+        ("[]", "top level must be an object"),
+        (json.dumps(valve_doc(**{"run.grid.points": 0})), "run.grid.points must be >= 1"),
+        (json.dumps(valve_doc(**{"run.grid.start": 5.0, "run.grid.stop": 2.0})),
+         "run.grid must satisfy 0 <= start <= stop"),
+        (json.dumps(valve_doc(**{"run.grid.start": -1.0})),
+         "run.grid must satisfy 0 <= start <= stop"),
+    ], ids=["no_output", "run_not_object", "nan_H", "W_not_object", "top_level_list",
+            "zero_points", "start_after_stop", "negative_start"])
+    def test_refusal_reaches_cli(self, tmp_path, capsys, text, message):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["curve", "--config", str(path), "--print-config"]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(str(tmp_path / "nope.json"))
@@ -301,6 +320,17 @@ class TestSweepCommand:
         assert main(["sweep", "D0", "20,50", "--config", cfg]) == 2
         assert "model.D0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("values", ["0,,0.01", "0.01,"])
+    def test_empty_value_refused_before_any_value_runs(self, tmp_path, capsys, monkeypatch,
+                                                        values):
+        # empty entries were once dropped and the sweep ran on what was left
+        def stream(*args, **kwargs):
+            raise AssertionError("a value ran before every value was checked")
+        monkeypatch.setattr(shockwear.simulate, "replication_stream", stream)
+        cfg = write_config(tmp_path, valve_doc(**{"output.path": str(tmp_path / "s.csv")}))
+        assert main(["sweep", "gamma", values, "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("config error: sweep values: '' in ")
+
     @pytest.mark.parametrize("parameter, value, names", [
         ("gamma", "nan", ["model.gamma"]),
         ("D0", "50", ["model.D0", "model.D1"]),
@@ -343,7 +373,7 @@ class TestValidateCommand:
     @pytest.mark.parametrize("flag, value", [
         ("--tol", "inf"), ("--tol", "nan"), ("--tol", "-1"),
         ("--abs-tol", "inf"), ("--abs-tol", "nan"), ("--abs-tol", "-5"),
-        ("--times", "1,9"), ("--times", "-1"), ("--times", "nan"),
+        ("--times", "1,9"), ("--times", "-1"), ("--times", "nan"), ("--times", "1,x"),
     ])
     def test_bad_flag_refused_before_oracle(self, tmp_path, capsys, monkeypatch, flag, value):
         def oracle(*args, **kwargs):
@@ -431,6 +461,11 @@ class TestPathsCommand:
         lines = out.read_text().splitlines()
         # 201 grid rows (including t=0) strided by 50, last row always kept
         assert len(lines) == 1 + 5
+
+    def test_zero_stride_refused(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, valve_doc(**{"output.path": str(tmp_path / "p.csv")}))
+        assert main(["paths", "2", "--stride", "0", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("config error: --stride must be >= 1")
 
     def test_rate_change_flips_once_in_aggressive_config(self, tmp_path):
         out = tmp_path / "paths.csv"

@@ -94,6 +94,11 @@ class TestAnalytic:
     def test_time_zero(self):
         assert analytic_reliability(decoupled(), 0.0) == 1.0
 
+    @pytest.mark.parametrize("t", [-1.0, math.nan])
+    def test_bad_time_refused(self, t):
+        with pytest.raises(ValueError, match="t must be finite and >= 0"):
+            analytic_reliability(decoupled(), t)
+
     def test_no_shock_limit_is_pure_gamma(self):
         p = decoupled(lambda0=0.0)
         want = gamma_cdf(5.0, GammaLaw(2.0, 1.2))
@@ -211,6 +216,10 @@ class TestSweep:
         p = make_params()
         with pytest.raises(ValueError, match="alpha2"):
             sweep(p, "beta", [1.0], [0.0], 10, 1)
+
+    def test_no_values_refused(self):
+        with pytest.raises(ValueError, match="at least one value"):
+            sweep(make_params(), "gamma", [], [0.0], 10, 1)
 
     def test_apply_sweep_value_touches_right_field(self):
         p = make_params()

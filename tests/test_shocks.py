@@ -37,6 +37,8 @@ class TestIntensity:
             valve_shock(eta=0.0)
         with pytest.raises(ValueError):
             valve_shock(lambda0=-1.0)
+        with pytest.raises(ValueError, match="thresholds must be finite"):
+            valve_shock(hard_threshold=math.inf)
 
 
 class TestArrivals:

@@ -106,6 +106,10 @@ class TestStepGrid:
         with pytest.raises(ValueError, match=message):
             Numerics(dt=0.01, horizon=3.0).steps_ended(times)
 
+    def test_negative_horizon_refused(self):
+        with pytest.raises(ValueError, match="horizon must be finite and >= 0"):
+            step_count(-1.0, 0.01)
+
     def test_infinite_step_count_refused(self):
         # horizon / dt overflows to inf, which round() cannot take
         with pytest.raises(ValueError, match="not a finite number of steps"):
