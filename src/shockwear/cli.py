@@ -131,7 +131,7 @@ def cmd_validate(cfg: RunConfig, args) -> int:
             raise ConfigError(f"{flag} must be finite and >= 0, got {value}")
     horizon = cfg.model.numerics.horizon
     times = [t for t in (1.0, 2.0, 4.0, 8.0) if t <= horizon]
-    if args.times:
+    if args.times is not None:
         times = _numbers(args.times, "--times")
     elif not times:
         raise ConfigError(f"--times: none of the default check times 1,2,4,8 lies within "

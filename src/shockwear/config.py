@@ -3,16 +3,20 @@
 The model block carries one key per physical quantity (H, D1, D0, alpha1,
 alpha2, beta, lambda0, eta, gamma, W, Y, optionally theta); the run block
 holds replication count, master seed, evaluation grid, dt and horizon.
-Validation errors name the offending field. Range rules on model values live
-in the model dataclasses; this module checks types and presence, the run and
-output blocks, and names the config key when a dataclass rejects a value.
+Errors name the offending field. ``_object`` reads every JSON object (present,
+no unknown key) and ``_value`` every number (present, of the asked type,
+finite). Range rules live in the dataclass that holds the value: the model
+dataclasses and laws, ``Numerics`` (dt, horizon), ``GridSpec`` (points,
+0 <= start <= stop), ``RunSettings`` (n_reps, master_seed), ``OutputSettings``
+(path). ``parse_config`` keeps the rules that span sections (grid stop within
+the horizon, output.format) and names the config key a dataclass refuses.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import re
+import sys
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -48,6 +52,13 @@ class GridSpec:
     stop: float
     points: int
 
+    def __post_init__(self):
+        if self.points < 1:
+            raise ConfigError(f"run.grid.points must be >= 1, got {self.points}")
+        if self.start < 0.0 or self.stop < self.start:
+            raise ConfigError(f"run.grid must satisfy 0 <= start <= stop, "
+                              f"got [{self.start}, {self.stop}]")
+
     def times(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.points)
 
@@ -70,7 +81,7 @@ class OutputSettings:
     path: str
 
     def __post_init__(self):
-        if not self.path:
+        if not isinstance(self.path, str) or not self.path:
             raise ConfigError("output.path: expected a non-empty string")
 
 
@@ -81,55 +92,38 @@ class RunConfig:
     output: OutputSettings
 
 
-def _known_keys(d: dict, path: str, accepted) -> None:
-    """Refuse a key of ``d`` outside ``accepted``, naming its dotted path."""
-    for key in d:
-        if key not in accepted:
-            raise ConfigError(f"{path}{key}: unknown key; accepted: {', '.join(accepted)}")
+def _names(cls: type) -> list[str]:
+    return [f.name for f in fields(cls)]
 
 
-def _section(doc: dict, key: str, accepted) -> dict:
-    if key not in doc:
-        raise ConfigError(f"missing section {key!r}")
-    if not isinstance(doc[key], dict):
-        raise ConfigError(f"{key}: expected an object")
-    _known_keys(doc[key], f"{key}.", accepted)
-    return doc[key]
+def _object(parent: dict, path: str, key: str, accepted) -> dict:
+    """``parent[key]``, an object whose keys all lie in ``accepted``. ``path``
+    is the dotted path of ``parent``, empty at the top level."""
+    where = f"{path}.{key}" if path else key
+    if key not in parent:
+        raise ConfigError(f"missing field {where}" if path else f"missing section {key!r}")
+    obj = parent[key]
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected an object with {'/'.join(accepted)}")
+    for name in obj:
+        if name not in accepted:
+            name = f"{where}.{name}" if where else name
+            raise ConfigError(f"{name}: unknown key; accepted: {', '.join(accepted)}")
+    return obj
 
 
-def _number(d: dict, path: str, key: str) -> float:
-    if key not in d:
+def _value(parent: dict, path: str, key: str, kind: type):
+    """``parent[key]`` as ``kind``: an integer for ``int``; for ``float`` a
+    number within float64's finite range (a larger JSON integer is refused)."""
+    if key not in parent:
         raise ConfigError(f"missing field {path}.{key}")
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {type(v).__name__}")
-    if not math.isfinite(v):
-        raise ConfigError(f"{path}.{key}: must be finite, got {v}")
-    return float(v)
-
-
-def _integer(d: dict, path: str, key: str) -> int:
-    if key not in d:
-        raise ConfigError(f"missing field {path}.{key}")
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{path}.{key}: expected an integer, got {type(v).__name__}")
-    return v
-
-
-def _law(d: dict, path: str, key: str, law: type):
-    if key not in d:
-        raise ConfigError(f"missing field {path}.{key}")
-    sub = d[key]
-    names = [f.name for f in fields(law)]
-    if not isinstance(sub, dict):
-        raise ConfigError(f"{path}.{key}: expected an object with {'/'.join(names)}")
-    _known_keys(sub, f"{path}.{key}.", names)
-    values = [_number(sub, f"{path}.{key}", name) for name in names]
-    try:
-        return law(*values)
-    except ValueError as exc:
-        raise ConfigError(f"{path}.{key}: {exc}") from exc
+    value = parent[key]
+    if isinstance(value, bool) or not isinstance(value, (int, kind)):
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{path}.{key}: expected {expected}, got {type(value).__name__}")
+    if kind is float and not abs(value) <= sys.float_info.max:  # NaN fails <= too
+        raise ConfigError(f"{path}.{key}: must be finite, got {value}")
+    return kind(value)
 
 
 def _config_names(message: str) -> str:
@@ -143,71 +137,72 @@ def _config_names(message: str) -> str:
 def parse_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("top level must be an object")
-    _known_keys(doc, "", ("model", "run", "output"))
-    model = _section(doc, "model", MODEL_KEYS)
-    run = _section(doc, "run", ("n_reps", "master_seed", "grid", "dt", "horizon"))
-    output = _section(doc, "output", ("path", "format"))
+    doc = _object({"": doc}, "", "", ("model", "run", "output"))  # at the empty path
+    model = _object(doc, "", "model", MODEL_KEYS)
+    run = _object(doc, "", "run", (*_names(RunSettings), "dt", "horizon"))
+    output = _object(doc, "", "output", (*_names(OutputSettings), "format"))
 
     kwargs: dict[str, dict] = {"degradation": {}, "shock": {}}
     for key, (section, name, law) in MODEL_KEYS.items():
         if law is None:
-            kwargs[section][name] = _number(model, "model", key)
+            kwargs[section][name] = _value(model, "model", key, float)
         elif key != "theta" or model.get(key) is not None:
-            kwargs[section][name] = _law(model, "model", key, law)
+            law_doc = _object(model, "model", key, _names(law))
+            values = [_value(law_doc, f"model.{key}", n, float) for n in _names(law)]
+            try:
+                kwargs[section][name] = law(*values)
+            except ValueError as exc:
+                raise ConfigError(f"model.{key}: {exc}") from exc
     try:
         degradation = DegradationParams(**kwargs["degradation"])
         shock = ShockParams(**kwargs["shock"])
     except ValueError as exc:
         raise ConfigError(_config_names(str(exc))) from exc
 
-    n_reps = _integer(run, "run", "n_reps")
-    master_seed = _integer(run, "run", "master_seed")
-    dt = _number(run, "run", "dt")
-    horizon = _number(run, "run", "horizon")
+    n_reps, master_seed = (_value(run, "run", key, int) for key in ("n_reps", "master_seed"))
+    dt, horizon = (_value(run, "run", key, float) for key in ("dt", "horizon"))
     try:
         numerics = Numerics(dt=dt, horizon=horizon)
     except ValueError as exc:
         raise ConfigError(f"run.horizon/run.dt: {exc}") from exc
-
-    grid_doc = run.get("grid")
-    if not isinstance(grid_doc, dict):
-        raise ConfigError("missing field run.grid (object with start/stop/points)")
-    _known_keys(grid_doc, "run.grid.", ("start", "stop", "points"))
-    start = _number(grid_doc, "run.grid", "start")
-    stop = _number(grid_doc, "run.grid", "stop")
-    points = _integer(grid_doc, "run.grid", "points")
-    if points < 1:
-        raise ConfigError(f"run.grid.points must be >= 1, got {points}")
-    if start < 0.0 or stop < start:
-        raise ConfigError(f"run.grid must satisfy 0 <= start <= stop, got [{start}, {stop}]")
+    grid_doc = _object(run, "run", "grid", _names(GridSpec))
+    grid = GridSpec(_value(grid_doc, "run.grid", "start", float),
+                    _value(grid_doc, "run.grid", "stop", float),
+                    _value(grid_doc, "run.grid", "points", int))
     try:
-        numerics.steps_ended([stop])
+        numerics.steps_ended([grid.stop])
     except ValueError as exc:
-        raise ConfigError(f"run.grid.stop ({stop}) must not exceed run.horizon ({horizon})") from exc
+        raise ConfigError(f"run.grid.stop ({grid.stop}) must not exceed "
+                          f"run.horizon ({horizon})") from exc
 
-    out_path = output.get("path")
-    if not isinstance(out_path, str):
-        raise ConfigError("output.path: expected a non-empty string")
     # output.format may be left out; CSV is the only format written
     out_format = output.get("format", "csv")
     if out_format != "csv":
         raise ConfigError(f"output.format: only 'csv' is supported, got {out_format!r}")
 
-    return RunConfig(
-        model=ModelParams(degradation=degradation, shock=shock, numerics=numerics),
-        run=RunSettings(n_reps=n_reps, master_seed=master_seed,
-                        grid=GridSpec(start, stop, points)),
-        output=OutputSettings(path=out_path),
-    )
+    return RunConfig(model=ModelParams(degradation=degradation, shock=shock, numerics=numerics),
+                     run=RunSettings(n_reps, master_seed, grid),
+                     output=OutputSettings(output.get("path")))
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; a repeated key is refused, not overwritten."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ConfigError(f"duplicate key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
 
 
 def load_config(path: str) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ConfigError as exc:
+        raise ConfigError(f"{exc} in config {path}") from exc
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(doc)
 
@@ -216,23 +211,12 @@ def config_to_dict(cfg: RunConfig) -> dict:
     model = {}
     for key, (section, name, law) in MODEL_KEYS.items():
         value = getattr(getattr(cfg.model, section), name)
-        if law is None:
-            model[key] = value
-        elif value is not None:
-            model[key] = asdict(value)
+        if value is not None:  # only theta may be absent
+            model[key] = value if law is None else asdict(value)
     num = cfg.model.numerics
-    return {
-        "model": model,
-        "run": {
-            "n_reps": cfg.run.n_reps,
-            "master_seed": cfg.run.master_seed,
-            "grid": {"start": cfg.run.grid.start, "stop": cfg.run.grid.stop,
-                     "points": cfg.run.grid.points},
-            "dt": num.dt,
-            "horizon": num.horizon,
-        },
-        "output": {"path": cfg.output.path, "format": "csv"},
-    }
+    return {"model": model,
+            "run": {**asdict(cfg.run), "dt": num.dt, "horizon": num.horizon},
+            "output": {**asdict(cfg.output), "format": "csv"}}
 
 
 def dump_config(cfg: RunConfig) -> str:

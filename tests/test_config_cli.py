@@ -46,6 +46,11 @@ def valve_doc(**overrides):
     return doc
 
 
+def readme_config_example() -> str:
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    return readme.split("### Config example", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+
+
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -142,9 +147,7 @@ class TestConfigParsing:
         assert parse_config(doc) == parse_config(valve_doc())
 
     def test_readme_example_parses(self):
-        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-        example = readme.split("### Config example", 1)[1].split("```json", 1)[1].split("```", 1)[0]
-        cfg = parse_config(json.loads(example))
+        cfg = parse_config(json.loads(readme_config_example()))
         assert cfg.run.n_reps == 100_000 and cfg.model.numerics.horizon == 20.0
 
     def test_zero_horizon(self):
@@ -163,13 +166,22 @@ class TestConfigParsing:
          "run.grid must satisfy 0 <= start <= stop"),
         (json.dumps(valve_doc(**{"run.grid.start": -1.0})),
          "run.grid must satisfy 0 <= start <= stop"),
+        # a JSON integer beyond float64's range is not finite, like 1e400
+        (json.dumps(valve_doc(**{"model.H": 10 ** 400})), "model.H: must be finite"),
+        (json.dumps(valve_doc(**{"run.dt": 10 ** 400})), "run.dt: must be finite"),
+        # a repeated key used to keep its last value and run
+        (json.dumps(valve_doc()).replace('"H": 5.0', '"H": 5.0, "H": 50.0'),
+         "duplicate key 'H' in config {path}"),
+        (json.dumps(valve_doc())[:-1] + ', "run": {}}', "duplicate key 'run' in config {path}"),
+        (b'{"model": "\xff"}', "config {path} is not valid JSON: "),
     ], ids=["no_output", "run_not_object", "nan_H", "W_not_object", "top_level_list",
-            "zero_points", "start_after_stop", "negative_start"])
+            "zero_points", "start_after_stop", "negative_start", "huge_integer_H",
+            "huge_integer_dt", "duplicate_H", "duplicate_section", "not_utf8"])
     def test_refusal_reaches_cli(self, tmp_path, capsys, text, message):
         path = tmp_path / "config.json"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         assert main(["curve", "--config", str(path), "--print-config"]) == 2
-        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert capsys.readouterr().err.startswith(f"config error: {message.format(path=path)}")
 
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -374,6 +386,7 @@ class TestValidateCommand:
         ("--tol", "inf"), ("--tol", "nan"), ("--tol", "-1"),
         ("--abs-tol", "inf"), ("--abs-tol", "nan"), ("--abs-tol", "-5"),
         ("--times", "1,9"), ("--times", "-1"), ("--times", "nan"), ("--times", "1,x"),
+        ("--times", ""),
     ])
     def test_bad_flag_refused_before_oracle(self, tmp_path, capsys, monkeypatch, flag, value):
         def oracle(*args, **kwargs):
@@ -558,6 +571,24 @@ class TestEntryPoint:
         assert main([*verb, "--config", cfg_path, "--print-config"]) == 0
         assert json.loads(capsys.readouterr().out) == config_to_dict(load_config(cfg_path))
         assert main([*verb, "--config", cfg_path]) == 2
+
+    PRINT_CONFIG = {  # SHA-256 of the --print-config echo of each benchmark config and the README's
+        "decoupled.json": "c2b714b90553fc812529aed8cea441d927c509ba4cd3fbab1f61be11e3868f72",
+        "valve.json": "021b2f18885b91e3cb56857ffdbcb0bcb052f9a02a48bed325b7c20108e66d69",
+        "valve_coarse.json": "7767885757975a9401fb3560ad60f6abdc76af1465d7df554788a64a483478c7",
+        "README.md": "0395b8ba9a016d3289551251de1c349a199e8d491ab68ec4b94f2500b09bf195",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PRINT_CONFIG))
+    def test_print_config_pinned_digest(self, tmp_path, capsys, name):
+        # the echo's key order and number text are part of its bytes
+        path = CONFIGS / name
+        if name == "README.md":
+            path = tmp_path / "readme.json"
+            path.write_text(readme_config_example())
+        assert main(["curve", "--config", str(path), "--print-config"]) == 0
+        echo = capsys.readouterr().out.encode()
+        assert hashlib.sha256(echo).hexdigest() == self.PRINT_CONFIG[name]
 
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "curve.csv"
