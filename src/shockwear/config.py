@@ -204,6 +204,8 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"{exc} in config {path}") from exc
     except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config {path} is nested too deeply to read") from exc
     return parse_config(doc)
 
 

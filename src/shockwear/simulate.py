@@ -43,6 +43,15 @@ for a given seed):
   marks stream : per shock, one normal magnitude then (if non-fatal) one
                  normal jump.
 
+Marks are read from a per-replication mark buffer, built at the replication's
+first arrival: _MARKS normals of its mark stream, drawn in one call and
+topped up from the stream when a step needs more than it holds. A step's
+arrivals are then applied across all arriving rows at once, one numpy pass
+per shock index. The buffer's size is not part of the contract: numpy's
+normal sampler keeps no state between values, so normal(size=a) then
+normal(size=b) draws the values of normal(size=a+b), and the j-th shock
+reads the same pair whatever the calls' sizes.
+
 The post-change extra increment is materialized from its uniform by the
 inverse gamma CDF with shape theta*(alpha2-alpha1)*dt, so a changed-rate
 increment is the pre-change increment plus an independent nonnegative term.
@@ -71,6 +80,7 @@ from .shocks import MAX_RATE_DT, ShockParams, poisson_counts
 
 _CHUNK = 256  # steps of pre-drawn path randomness per refill; part of the stream contract
 _ROWS = 2048  # default replications per block (sizes the refill buffers); not in the stream contract
+_MARKS = 32  # normals per mark-buffer fill (16 shocks); not in the stream contract
 # Rounding room of the arrival-candidate test: exp(-mu) near 1 errs by a few
 # ulps of 1 (1.1e-16 each), well inside this.
 _ARRIVAL_SLACK = 2e-15
@@ -195,7 +205,11 @@ class BatchResult:
 class _Batch:
     """One parameter set's rows of one block, advanced a chunk at a time on its
     block's path draws. Row state, by block-local id, is the path state (pure,
-    jumps, nshk) and mark streams; phase and liveness are read from ``out``."""
+    jumps, nshk) and, from its first arrival, a mark buffer: its mark stream,
+    a row of ``marks`` holding the stream's next unread normals and the read
+    position. Buffers exist only for rows that met an arrival, and their size
+    is not part of the stream contract. Phase and liveness are read from
+    ``out``."""
 
     def __init__(self, params: ModelParams, theta: np.ndarray, master_seed: int,
                  rep_lo: int, out: BatchResult):
@@ -206,7 +220,12 @@ class _Batch:
         self.master_seed = master_seed
         self.rep_lo = rep_lo
         self.out = out
-        self.mark_gens = [None] * n  # built at a replication's first arrival
+        # Mark buffers, built at a row's first arrival: buffer b holds unread
+        # normals of its row's mark stream in columns mark_pos[b] .. width-1.
+        self.mark_buffer = np.full(n, -1, dtype=np.intp)  # row -> b, or -1
+        self.mark_gens = []  # b -> the row's mark stream
+        self.marks = np.empty((0, _MARKS))  # b -> normals; rows past len(mark_gens) are spare
+        self.mark_pos = np.empty(0, dtype=np.intp)
 
         self.scale = 1.0 / deg.beta
         self.d_alpha = deg.alpha2 - deg.alpha1
@@ -287,14 +306,15 @@ class _Batch:
             if arrived.size:
                 rows, cols = act[arrived], e[arrived]
                 was_changed = changed[rows]
-                ns, jm, ch = nshk[rows].tolist(), jumps[rows].tolist(), was_changed.tolist()
-                hard[arrived] = self._shocks(ids[rows].tolist(), counts[arrived].tolist(),
+                ns, jm, ch = nshk[rows], jumps[rows], was_changed.copy()
+                hard[arrived] = self._shocks(ids[rows], counts[arrived],
                                              (k0 + 1 + cols) * self.dt, ns, jm, ch)
                 nshk[rows], jumps[rows], changed[rows] = ns, jm, ch
                 total[arrived] = path[rows, cols] + jumps[rows]
                 failed[arrived] = hard[arrived] | (total[arrived] >= self.soft_h)
                 if want_traces:
-                    for r, col, jm_r, ns_r in zip(rows.tolist(), cols.tolist(), jm, ns):
+                    for r, col, jm_r, ns_r in zip(rows.tolist(), cols.tolist(), jm.tolist(),
+                                                  ns.tolist()):
                         events.setdefault(r, []).append((col, jm_r, ns_r))
                 if self.shape_post is not None:
                     switched = changed[rows] & ~was_changed & ~failed[arrived] & (cols + 1 < span)
@@ -323,40 +343,71 @@ class _Batch:
         """Shock intensity after ``nshk`` shocks at total wear ``total``."""
         return (1.0 + self.eta * nshk) * (self.lam0 + self.gdep * total)
 
-    def _shocks(self, ids, counts, t_end, nshk, jumps, changed) -> list[bool]:
+    def _shocks(self, ids, counts, t_end, nshk, jumps, changed) -> np.ndarray:
         """Apply each row's ``counts`` arrivals in order, as the step loop does.
 
-        Updates the per-row lists ``nshk``, ``jumps`` and ``changed`` in place
-        and returns which rows took a fatal shock.
+        One pass per shock index k takes every row with more than k arrivals
+        and no fatal shock yet, and reads its k-th (magnitude, jump) pair from
+        its mark buffer. Updates the per-row arrays ``nshk``, ``jumps`` and
+        ``changed`` in place and returns which rows took a fatal shock.
         """
+        buf = self._mark_buffers(ids, counts)
+        pos = self.mark_pos[buf]
+        # A pair maps as numpy's normal(loc, scale) maps a standard normal:
+        # loc + scale * z. Pairs after a fatal shock are never read.
         mu_w, mu_y = self.mark_mean
         sd_w, sd_y = self.mark_sd
-        d0, d1 = self.d0, self.d1
-        hard = [False] * len(ids)
-        for q, (i, c) in enumerate(zip(ids, counts)):
-            g = self.mark_gens[i]
-            if g is None:
-                g = self.mark_gens[i] = replication_stream(
-                    self.master_seed, self.rep_lo + i, MARK_STREAM)
-            # All c (magnitude, jump) pairs in one call, mapped as numpy's
-            # normal(loc, scale) maps a standard normal: loc + scale * z. Draws
-            # after a fatal shock are never read; the row's mark stream ends.
-            z = g.normal(size=2 * c).tolist()
-            ns, jm = nshk[q], jumps[q]
-            for p in range(0, 2 * c, 2):
-                ns += 1
-                mag = mu_w + sd_w * z[p]
-                if mag > d1:
-                    hard[q] = True
-                    break
-                if mag > d0 and not changed[q]:
-                    changed[q] = True
-                    self.out.rate_change_time[i] = t_end[q]
-                y = mu_y + sd_y * z[p + 1]
-                if y > 0.0:
-                    jm += y
-            nshk[q], jumps[q] = ns, jm
+        hard = np.zeros(ids.size, dtype=bool)
+        for k in range(counts.max()):
+            q = np.flatnonzero((counts > k) & ~hard)
+            nshk[q] += 1
+            col = pos[q] + 2 * k
+            mag = mu_w + sd_w * self.marks[buf[q], col]
+            fatal = mag > self.d1
+            hard[q[fatal]] = True
+            q, col, mag = q[~fatal], col[~fatal], mag[~fatal]
+            damaged = q[(mag > self.d0) & ~changed[q]]
+            changed[damaged] = True
+            self.out.rate_change_time[ids[damaged]] = t_end[damaged]
+            y = mu_y + sd_y * self.marks[buf[q], col + 1]
+            up = y > 0.0
+            jumps[q[up]] += y[up]
+        self.mark_pos[buf] = pos + 2 * counts
         return hard
+
+    def _mark_buffers(self, ids, counts) -> np.ndarray:
+        """The mark buffers of rows ``ids``, each holding at least ``2*counts``
+        unread normals: a row's first arrival builds its stream and fills a
+        whole buffer, and a buffer that runs short keeps its unread normals
+        and is topped up from its stream."""
+        buf = self.mark_buffer[ids]
+        new = np.flatnonzero(buf < 0)
+        if new.size:
+            lo, hi = len(self.mark_gens), len(self.mark_gens) + new.size
+            if hi > self.marks.shape[0]:  # at least double the rows, up to one per block row
+                spare = min(max(hi, 2 * lo), self.mark_buffer.size) - self.marks.shape[0]
+                self.marks = np.concatenate([self.marks, np.empty((spare, self.marks.shape[1]))])
+                self.mark_pos = np.concatenate([self.mark_pos, np.empty(spare, dtype=np.intp)])
+            buf[new] = self.mark_buffer[ids[new]] = np.arange(lo, hi)
+            gens = [replication_stream(self.master_seed, self.rep_lo + i, MARK_STREAM)
+                    for i in ids[new].tolist()]
+            self.marks[lo:hi] = [g.normal(size=self.marks.shape[1]) for g in gens]
+            self.mark_pos[lo:hi] = 0
+            self.mark_gens += gens
+
+        short = np.flatnonzero(self.mark_pos[buf] + 2 * counts > self.marks.shape[1])
+        if short.size:
+            wider = 2 * int(counts[short].max()) - self.marks.shape[1]
+            if wider > 0:  # new columns go first, so every buffer still ends at the last
+                self.marks = np.concatenate([np.empty((self.marks.shape[0], wider)), self.marks],
+                                            axis=1)
+                self.mark_pos += wider
+            for b in buf[short].tolist():
+                p = self.mark_pos[b]
+                fresh = self.mark_gens[b].normal(size=p)
+                self.marks[b] = np.concatenate([self.marks[b, p:], fresh])
+                self.mark_pos[b] = 0
+        return buf
 
     def _next_event(self, path, upois, jumps, nshk, act, pos) -> np.ndarray:
         """First column >= pos of each row in ``act`` that may hold an event.

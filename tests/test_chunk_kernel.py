@@ -40,6 +40,10 @@ CASES = {
     "multi_arrival": (dict(lambda0=3.0, eta=1.5, gamma=0.0, Y=NormalLaw(4.0, 0.3), D0=35.0, D1=45.0),
                       2.5, 4, 0, 400, False),
     "coupled": (dict(lambda0=0.3, gamma=0.1, D0=25.0, H=8.0), 7.77, 11, 5, 300, True),
+    # tiny jumps and slow facilitation: rows take up to about 60 shocks, several
+    # mark-buffer fills, with rate*dt <= 0.085; a shock is fatal with p = 0.023
+    "mark_buffer_refills": (dict(lambda0=5.0, eta=0.01, gamma=0.0, Y=NormalLaw(0.01, 0.005),
+                                 D0=15.0, D1=20.0, H=50.0), 7.0, 12, 0, 300, True),
     "zero_horizon": (dict(), 0.0, 1, 17, 50, True),
 }
 
@@ -76,6 +80,17 @@ def test_matches_step_loop(case, rows):
     assert_identical(new, _reference(case))
 
 
+@pytest.mark.parametrize("marks", [1, 3])
+@pytest.mark.parametrize("case", ["multi_arrival", "mark_buffer_refills"])
+def test_small_mark_buffers_match_step_loop(case, marks, monkeypatch):
+    # one or one and a half shocks per fill: a step's arrivals overrun the
+    # buffer, which must widen, and a pair can straddle two fills
+    monkeypatch.setattr(simulate, "_MARKS", marks)
+    _, horizon, seed, lo, hi, traces = CASES[case]
+    new = simulate.simulate_sets([_params(case)], seed, lo, hi, traces, rows=7)[0]
+    assert_identical(new, _reference(case))
+
+
 def test_matrix_reaches_its_cases(monkeypatch):
     counts = []
     real = simulate.poisson_counts
@@ -85,15 +100,29 @@ def test_matrix_reaches_its_cases(monkeypatch):
         counts.append(c.max(initial=0))
         return c
 
+    fatal_not_last = []
+    real_shocks = simulate._Batch._shocks
+
+    def spy_shocks(self, ids, arrivals, t_end, nshk, jumps, changed):
+        before = nshk.copy()
+        hard = real_shocks(self, ids, arrivals, t_end, nshk, jumps, changed)
+        fatal_not_last.append(np.any(hard & (nshk - before < arrivals)))
+        return hard
+
     monkeypatch.setattr(simulate, "poisson_counts", spy)
     simulate.simulate_sets([_params("multi_arrival")], 4, 0, 400)
     assert max(counts) >= 2
+    monkeypatch.setattr(simulate._Batch, "_shocks", spy_shocks)
+    simulate.simulate_sets([_params("mark_buffer_refills")], 12, 0, 300)
+    assert any(fatal_not_last)  # a step with 2+ arrivals whose fatal shock is not the last
     ref = {case: _reference(case) for case in CASES}
     assert np.isfinite(ref["valve"].failure_time).any()
     assert (~np.isnan(ref["d_alpha_pos_frequent_damage"].rate_change_time)).sum() > 20
     assert (~np.isnan(ref["d_alpha_neg"].rate_change_time)).sum() > 20
     assert set(ref["theta_law"].mode.tolist()) == {0, 1, 2}
     assert ref["clamped_jumps"].n_shocks.sum() > 100
+    # more than twice the shocks one mark-buffer fill holds
+    assert ref["mark_buffer_refills"].n_shocks.max() > 2 * (simulate._MARKS // 2)
     # failures strictly inside chunks, not only at their edges
     ft = ref["coupled"].failure_time
     steps = np.rint(ft[np.isfinite(ft)] / 0.01).astype(int)

@@ -174,9 +174,11 @@ class TestConfigParsing:
          "duplicate key 'H' in config {path}"),
         (json.dumps(valve_doc())[:-1] + ', "run": {}}', "duplicate key 'run' in config {path}"),
         (b'{"model": "\xff"}', "config {path} is not valid JSON: "),
+        # json's decoder recurses per level and used to exit 1 with a traceback
+        ("[" * 100000 + "]" * 100000, "config {path} is nested too deeply to read"),
     ], ids=["no_output", "run_not_object", "nan_H", "W_not_object", "top_level_list",
             "zero_points", "start_after_stop", "negative_start", "huge_integer_H",
-            "huge_integer_dt", "duplicate_H", "duplicate_section", "not_utf8"])
+            "huge_integer_dt", "duplicate_H", "duplicate_section", "not_utf8", "deep_nesting"])
     def test_refusal_reaches_cli(self, tmp_path, capsys, text, message):
         path = tmp_path / "config.json"
         path.write_bytes(text if isinstance(text, bytes) else text.encode())

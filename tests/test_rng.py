@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.random import PCG64, Generator, SeedSequence
 
-from shockwear.rng import _BLOCK, replication_stream
+from shockwear.rng import _BLOCK, MARK_STREAM, replication_stream
+from shockwear.simulate import _MARKS
 
 SEEDS = [0, 1, 20260808, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 7]
 REPS = [0, 1, _BLOCK - 1, _BLOCK, 2**32 - 1, 2**32]
@@ -49,3 +50,16 @@ def test_generator_pickles():
     clone = pickle.loads(pickle.dumps(g))
     assert np.array_equal(clone.random(32), g.random(32))
     assert np.array_equal(clone.normal(size=5), g.normal(size=5))
+
+
+@pytest.mark.parametrize("a, b", [(0, 5), (5, 0), (1, 1), (1, 6), (7, 2), (3, _MARKS + 9),
+                                  (_MARKS, _MARKS), (2 * _MARKS + 1, 3)])
+def test_normal_draws_concatenate(a, b):
+    # The engine's mark buffers draw a stream's normals in calls of any size;
+    # the bytes stay those of one call per arrival only because numpy's normal
+    # sampler carries no state between values.
+    split = replication_stream(20260808, 12345, MARK_STREAM)
+    whole = replication_stream(20260808, 12345, MARK_STREAM)
+    parts = np.concatenate([split.normal(size=a), split.normal(size=b)])
+    assert parts.tobytes() == whole.normal(size=a + b).tobytes()
+    assert split.bit_generator.state == whole.bit_generator.state
