@@ -185,12 +185,26 @@ def parse_config(doc: dict) -> RunConfig:
                      output=OutputSettings(output.get("path")))
 
 
-def _unique_keys(pairs: list) -> dict:
-    """A JSON object's pairs as a dict; a repeated key is refused, not overwritten."""
-    obj = dict(pairs)
-    if len(obj) < len(pairs):
-        keys = [key for key, _ in pairs]
-        raise ConfigError(f"duplicate key {next(k for k in keys if keys.count(k) > 1)!r}")
+class _Object(dict):
+    repeated = ()  # a repeated key, here or in an object below: (*path to its object, key)
+
+
+def _repeated(value) -> tuple:
+    """A decoded JSON value's repeated key; an array's is its first object's."""
+    if isinstance(value, list):
+        return next(filter(None, map(_repeated, value)), ())
+    return getattr(value, "repeated", ())
+
+
+def _unique_keys(pairs: list) -> _Object:
+    """A JSON object's pairs as a dict that records a repeated key, here or
+    below, rather than keep the last value; ``load_config`` refuses it."""
+    obj = _Object(pairs)
+    keys = [key for key, _ in pairs]
+    if len(obj) < len(keys):
+        obj.repeated = (next(k for k in keys if keys.count(k) > 1),)
+    else:
+        obj.repeated = next(((k, *r) for k, r in zip(keys, map(_repeated, obj.values())) if r), ())
     return obj
 
 
@@ -200,12 +214,14 @@ def load_config(path: str) -> RunConfig:
             doc = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except ConfigError as exc:
-        raise ConfigError(f"{exc} in config {path}") from exc
     except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ConfigError(f"config {path} is nested too deeply to read") from exc
+    if _repeated(doc):
+        *where, key = _repeated(doc)
+        raise ConfigError(f"{'.'.join(where) + ': ' if where else ''}duplicate key {key!r} "
+                          f"in config {path}")
     return parse_config(doc)
 
 

@@ -11,14 +11,15 @@ end-of-step clock k*dt; Numerics.steps_ended says which steps a time has seen.
 The step grid is the model's: dt and the step count come from
 ModelParams.numerics alone. simulate_sets, the engine's one entry, is one loop
 over blocks of consecutive replications in index order; a block builds its
-streams and refill buffers, runs through every step and is released before the
-next, so the block size bounds memory and nothing else. It runs one or several
-parameter sets (a sweep's values) side by side: a block builds the path
-streams, theta and the refill buffers once, each chunk's refill is drawn once
-for the replications still alive under any set, and each set applies its own
-rules to its own rows of it and draws its own mark streams. The path draws
-depend only on theta_law, alpha1, beta and numerics, so sets that share these
-read exactly the draws each would read alone, and sets that do not are refused.
+streams and buffers, runs through every step and is released before the next.
+Memory grows with the block size and with the mark buffer's width (_Marks);
+results depend on neither. It runs one or several
+parameter sets (a sweep's values) side by side: a block owns every draw (the
+path streams, theta, the refill buffers and the mark buffer), each chunk's
+refill is drawn once for the replications still alive under any set, and each
+set applies its own rules to its own rows of it. The path draws depend only on
+theta_law, alpha1, beta and numerics, so sets that share these read exactly
+the draws each would read alone, and sets that do not are refused.
 run_replications, simulate_paths and simulate_replication run one set; the
 first two take horizon and dt only to refuse a grid that is not the model's.
 Each replication advances a chunk of _CHUNK steps at a time: one sequential
@@ -43,14 +44,12 @@ for a given seed):
   marks stream : per shock, one normal magnitude then (if non-fatal) one
                  normal jump.
 
-Marks are read from a per-replication mark buffer, built at the replication's
-first arrival: _MARKS normals of its mark stream, drawn in one call and
-topped up from the stream when a step needs more than it holds. A step's
-arrivals are then applied across all arriving rows at once, one numpy pass
-per shock index. The buffer's size is not part of the contract: numpy's
-normal sampler keeps no state between values, so normal(size=a) then
-normal(size=b) draws the values of normal(size=a+b), and the j-th shock
-reads the same pair whatever the calls' sizes.
+Marks are read from the block's mark buffer, shared by its sets (_Marks):
+shock s of a replication reads normals 2s and 2s+1 of its mark stream, at
+twice its shock count. A step's arrivals are applied across all arriving rows
+at once, one numpy pass per shock index. The buffer's width is not in the
+contract: numpy's normal sampler keeps no state between values, so
+normal(size=a) then normal(size=b) draws normal(size=a+b).
 
 The post-change extra increment is materialized from its uniform by the
 inverse gamma CDF with shape theta*(alpha2-alpha1)*dt, so a changed-rate
@@ -80,7 +79,7 @@ from .shocks import MAX_RATE_DT, ShockParams, poisson_counts
 
 _CHUNK = 256  # steps of pre-drawn path randomness per refill; part of the stream contract
 _ROWS = 2048  # default replications per block (sizes the refill buffers); not in the stream contract
-_MARKS = 32  # normals per mark-buffer fill (16 shocks); not in the stream contract
+_MARKS = 32  # first width of a block's mark buffer (16 shocks); not in the stream contract
 # Rounding room of the arrival-candidate test: exp(-mu) near 1 errs by a few
 # ulps of 1 (1.1e-16 each), well inside this.
 _ARRIVAL_SLACK = 2e-15
@@ -202,30 +201,65 @@ class BatchResult:
         return part
 
 
+class _Marks:
+    """A block's mark buffer, shared by its sets: row i of ``normals`` holds
+    normals base[i] .. filled[i]-1 of block row i's mark stream. A read past
+    ``filled`` drops the normals below every running set's next read and tops
+    the row up from its stream. The width, at least doubled when a read does
+    not fit, follows a step's arrivals and the gap between sets' shock counts."""
+
+    def __init__(self, master_seed: int, rep_lo: int, outs: list[BatchResult]):
+        n = outs[0].failure_time.size
+        self.master_seed, self.rep_lo, self.outs = master_seed, rep_lo, outs
+        self.normals = np.empty((n, _MARKS))
+        self.base, self.filled = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
+        self.gens = {}  # block row -> its mark stream
+
+    def read(self, ids, start, stop, out: BatchResult) -> tuple[np.ndarray, np.ndarray]:
+        """``normals`` and ``base[ids]``, rows ``ids`` holding normals ``start``
+        .. ``stop``-1 for the set whose results are ``out``."""
+        short = self.filled[ids] < stop
+        if short.any():
+            rows, floor, stop = ids[short], start[short], stop[short]
+            for other in self.outs:  # out's n_shocks lags its reads until the chunk ends
+                if other is not out:
+                    live = other.mode[rows] == 0
+                    floor[live] = np.minimum(floor[live], 2 * other.n_shocks[rows[live]])
+            width = self.normals.shape[1]
+            if (stop - floor).max() > width:
+                more = max(width, int((stop - floor).max()) - width)
+                self.normals = np.hstack([self.normals, np.empty((len(self.filled), more))])
+                width += more
+            new = self.filled[rows] == 0
+            if new.any():
+                gens = [replication_stream(self.master_seed, self.rep_lo + i, MARK_STREAM)
+                        for i in rows[new].tolist()]
+                self.normals[rows[new]] = [g.normal(size=width) for g in gens]
+                self.filled[rows[new]] = width
+                self.gens.update(zip(rows[new].tolist(), gens))
+            for i, lo in zip(rows[~new].tolist(), floor[~new].tolist()):  # rare: top-ups
+                row, kept = self.normals[i], self.filled[i] - lo
+                row[:kept] = row[lo - self.base[i]:self.filled[i] - self.base[i]]
+                row[kept:] = self.gens[i].normal(size=width - kept)
+                self.base[i], self.filled[i] = lo, lo + width
+        return self.normals, self.base[ids]
+
+
 class _Batch:
     """One parameter set's rows of one block, advanced a chunk at a time on its
-    block's path draws. Row state, by block-local id, is the path state (pure,
-    jumps, nshk) and, from its first arrival, a mark buffer: its mark stream,
-    a row of ``marks`` holding the stream's next unread normals and the read
-    position. Buffers exist only for rows that met an arrival, and their size
-    is not part of the stream contract. Phase and liveness are read from
-    ``out``."""
+    block's path draws and mark buffer. A set owns only its row state, by
+    block-local id: pure, jumps and nshk, and ``out``, which holds phase and
+    liveness. Its shock s of a row reads the block's marks at 2s and 2s+1."""
 
-    def __init__(self, params: ModelParams, theta: np.ndarray, master_seed: int,
-                 rep_lo: int, out: BatchResult):
+    def __init__(self, params: ModelParams, theta: np.ndarray, marks: _Marks, rep_lo: int,
+                 out: BatchResult):
         deg = params.degradation
         shk = params.shock
         n = out.failure_time.size
         self.dt = dt = params.numerics.dt
-        self.master_seed = master_seed
+        self.block_marks = marks
         self.rep_lo = rep_lo
         self.out = out
-        # Mark buffers, built at a row's first arrival: buffer b holds unread
-        # normals of its row's mark stream in columns mark_pos[b] .. width-1.
-        self.mark_buffer = np.full(n, -1, dtype=np.intp)  # row -> b, or -1
-        self.mark_gens = []  # b -> the row's mark stream
-        self.marks = np.empty((0, _MARKS))  # b -> normals; rows past len(mark_gens) are spare
-        self.mark_pos = np.empty(0, dtype=np.intp)
 
         self.scale = 1.0 / deg.beta
         self.d_alpha = deg.alpha2 - deg.alpha1
@@ -347,12 +381,12 @@ class _Batch:
         """Apply each row's ``counts`` arrivals in order, as the step loop does.
 
         One pass per shock index k takes every row with more than k arrivals
-        and no fatal shock yet, and reads its k-th (magnitude, jump) pair from
-        its mark buffer. Updates the per-row arrays ``nshk``, ``jumps`` and
-        ``changed`` in place and returns which rows took a fatal shock.
+        and no fatal shock yet; a row's shock reads normals 2*nshk and
+        2*nshk+1 of its mark stream, nshk counting its shocks before it.
+        Updates ``nshk``, ``jumps`` and ``changed`` in place and returns which
+        rows took a fatal shock.
         """
-        buf = self._mark_buffers(ids, counts)
-        pos = self.mark_pos[buf]
+        normals, base = self.block_marks.read(ids, 2 * nshk, 2 * (nshk + counts), self.out)
         # A pair maps as numpy's normal(loc, scale) maps a standard normal:
         # loc + scale * z. Pairs after a fatal shock are never read.
         mu_w, mu_y = self.mark_mean
@@ -360,54 +394,19 @@ class _Batch:
         hard = np.zeros(ids.size, dtype=bool)
         for k in range(counts.max()):
             q = np.flatnonzero((counts > k) & ~hard)
+            col = 2 * nshk[q] - base[q]
+            mag = mu_w + sd_w * normals[ids[q], col]
             nshk[q] += 1
-            col = pos[q] + 2 * k
-            mag = mu_w + sd_w * self.marks[buf[q], col]
             fatal = mag > self.d1
             hard[q[fatal]] = True
             q, col, mag = q[~fatal], col[~fatal], mag[~fatal]
             damaged = q[(mag > self.d0) & ~changed[q]]
             changed[damaged] = True
             self.out.rate_change_time[ids[damaged]] = t_end[damaged]
-            y = mu_y + sd_y * self.marks[buf[q], col + 1]
+            y = mu_y + sd_y * normals[ids[q], col + 1]
             up = y > 0.0
             jumps[q[up]] += y[up]
-        self.mark_pos[buf] = pos + 2 * counts
         return hard
-
-    def _mark_buffers(self, ids, counts) -> np.ndarray:
-        """The mark buffers of rows ``ids``, each holding at least ``2*counts``
-        unread normals: a row's first arrival builds its stream and fills a
-        whole buffer, and a buffer that runs short keeps its unread normals
-        and is topped up from its stream."""
-        buf = self.mark_buffer[ids]
-        new = np.flatnonzero(buf < 0)
-        if new.size:
-            lo, hi = len(self.mark_gens), len(self.mark_gens) + new.size
-            if hi > self.marks.shape[0]:  # at least double the rows, up to one per block row
-                spare = min(max(hi, 2 * lo), self.mark_buffer.size) - self.marks.shape[0]
-                self.marks = np.concatenate([self.marks, np.empty((spare, self.marks.shape[1]))])
-                self.mark_pos = np.concatenate([self.mark_pos, np.empty(spare, dtype=np.intp)])
-            buf[new] = self.mark_buffer[ids[new]] = np.arange(lo, hi)
-            gens = [replication_stream(self.master_seed, self.rep_lo + i, MARK_STREAM)
-                    for i in ids[new].tolist()]
-            self.marks[lo:hi] = [g.normal(size=self.marks.shape[1]) for g in gens]
-            self.mark_pos[lo:hi] = 0
-            self.mark_gens += gens
-
-        short = np.flatnonzero(self.mark_pos[buf] + 2 * counts > self.marks.shape[1])
-        if short.size:
-            wider = 2 * int(counts[short].max()) - self.marks.shape[1]
-            if wider > 0:  # new columns go first, so every buffer still ends at the last
-                self.marks = np.concatenate([np.empty((self.marks.shape[0], wider)), self.marks],
-                                            axis=1)
-                self.mark_pos += wider
-            for b in buf[short].tolist():
-                p = self.mark_pos[b]
-                fresh = self.mark_gens[b].normal(size=p)
-                self.marks[b] = np.concatenate([self.marks[b, p:], fresh])
-                self.mark_pos[b] = 0
-        return buf
 
     def _next_event(self, path, upois, jumps, nshk, act, pos) -> np.ndarray:
         """First column >= pos of each row in ``act`` that may hold an event.
@@ -489,7 +488,8 @@ def _run_block(param_sets: list[ModelParams], master_seed: int, rep_lo: int,
         _gammaincinv()(tl.shape, [g.random() for g in path_gens]) / tl.rate)
     shape_pre = theta * (deg.alpha1 * num.dt)
     scale = 1.0 / deg.beta
-    batches = [_Batch(p, theta, master_seed, rep_lo, out) for p, out in zip(param_sets, outs)]
+    marks = _Marks(master_seed, rep_lo, outs)
+    batches = [_Batch(p, theta, marks, rep_lo, out) for p, out in zip(param_sets, outs)]
     violations = [[] for _ in batches]
 
     cols = min(n_steps, _CHUNK)

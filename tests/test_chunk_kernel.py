@@ -225,6 +225,52 @@ def test_sets_side_by_side_match_each_alone(case, rows):
     assert any(np.any(a != b) for a in stops for b in stops)
 
 
+@pytest.mark.parametrize("marks", [1, 3])
+@pytest.mark.parametrize("rows", [simulate._ROWS, 7], ids=["default_rows", "rows7"])
+@pytest.mark.parametrize("case", ["eta", "lambda0", "D1"])
+def test_sets_side_by_side_small_mark_buffers(case, rows, marks, monkeypatch):
+    # the test above with a _MARKS axis, kept apart so that its ids stay: the
+    # sets share a block's mark buffer but take different numbers of shocks per
+    # row, so one set tops up a row and drops normals another set still reads
+    monkeypatch.setattr(simulate, "_MARKS", marks)
+    test_sets_side_by_side_match_each_alone(case, rows)
+
+
+def test_mark_buffer_width_follows_a_steps_arrivals(monkeypatch):
+    # a top-up drops the normals every running set has read, so rows taking up
+    # to about 60 shocks keep the first width of 16 shocks
+    seen = []
+    real = simulate._Marks.read
+
+    def spy(self, *args):
+        normals, base = real(self, *args)
+        seen.append((normals.shape[1], base.max()))
+        return normals, base
+
+    monkeypatch.setattr(simulate._Marks, "read", spy)
+    seed, lo, hi = CASES["mark_buffer_refills"][2:5]
+    res = simulate.simulate_sets([_params("mark_buffer_refills")], seed, lo, hi)[0]
+    assert 2 * res.n_shocks.max() > 3 * simulate._MARKS
+    assert {width for width, _ in seen} == {simulate._MARKS}
+    assert max(base for _, base in seen) > simulate._MARKS
+
+
+def test_one_mark_stream_per_replication(monkeypatch):
+    built = []
+    real = simulate.replication_stream
+
+    def spy(master_seed, rep_index, stream):
+        if stream == simulate.MARK_STREAM:
+            built.append(rep_index)
+        return real(master_seed, rep_index, stream)
+
+    monkeypatch.setattr(simulate, "replication_stream", spy)
+    together = simulate.simulate_sets(_sweep_sets("lambda0")[3], 7, 3, 160)
+    shocked = [res.n_shocks > 0 for res in together]
+    assert sorted(built) == (3 + np.flatnonzero(np.logical_or.reduce(shocked))).tolist()
+    assert sum(s.sum() for s in shocked) > len(built)  # replications shocked under several sets
+
+
 @pytest.mark.parametrize("case", list(SWEEPS))
 def test_sweep_equals_its_values_run_alone(case):
     base, key, values, sets = _sweep_sets(case)

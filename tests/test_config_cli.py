@@ -171,14 +171,21 @@ class TestConfigParsing:
         (json.dumps(valve_doc(**{"run.dt": 10 ** 400})), "run.dt: must be finite"),
         # a repeated key used to keep its last value and run
         (json.dumps(valve_doc()).replace('"H": 5.0', '"H": 5.0, "H": 50.0'),
-         "duplicate key 'H' in config {path}"),
+         "model: duplicate key 'H' in config {path}"),
         (json.dumps(valve_doc())[:-1] + ', "run": {}}', "duplicate key 'run' in config {path}"),
+        # the refusal names the object that repeats the key, as W's and Y's laws share keys
+        (json.dumps(valve_doc()).replace('"W": {"mean": ', '"W": {"mean": 1.0, "mean": '),
+         "model.W: duplicate key 'mean' in config {path}"),
+        # an object in an array is named by its array
+        (json.dumps(valve_doc()).replace('"H": 5.0', '"H": [1, [{"a": 1, "a": 2}]]'),
+         "model.H: duplicate key 'a' in config {path}"),
         (b'{"model": "\xff"}', "config {path} is not valid JSON: "),
         # json's decoder recurses per level and used to exit 1 with a traceback
         ("[" * 100000 + "]" * 100000, "config {path} is nested too deeply to read"),
     ], ids=["no_output", "run_not_object", "nan_H", "W_not_object", "top_level_list",
             "zero_points", "start_after_stop", "negative_start", "huge_integer_H",
-            "huge_integer_dt", "duplicate_H", "duplicate_section", "not_utf8", "deep_nesting"])
+            "huge_integer_dt", "duplicate_H", "duplicate_section", "duplicate_W_mean",
+            "duplicate_in_array", "not_utf8", "deep_nesting"])
     def test_refusal_reaches_cli(self, tmp_path, capsys, text, message):
         path = tmp_path / "config.json"
         path.write_bytes(text if isinstance(text, bytes) else text.encode())
