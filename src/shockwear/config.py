@@ -7,9 +7,10 @@ Errors name the offending field. ``_object`` reads every JSON object (present,
 no unknown key) and ``_value`` every number (present, of the asked type,
 finite). Range rules live in the dataclass that holds the value: the model
 dataclasses and laws, ``Numerics`` (dt, horizon), ``GridSpec`` (points,
-0 <= start <= stop), ``RunSettings`` (n_reps, master_seed), ``OutputSettings``
-(path). ``parse_config`` keeps the rules that span sections (grid stop within
-the horizon, output.format) and names the config key a dataclass refuses.
+0 <= start <= stop, one point only where start == stop), ``RunSettings``
+(n_reps, master_seed), ``OutputSettings`` (path). ``parse_config`` keeps the
+rules that span sections (grid stop within the horizon, output.format) and
+names the config key a dataclass refuses.
 """
 
 from __future__ import annotations
@@ -58,6 +59,9 @@ class GridSpec:
         if self.start < 0.0 or self.stop < self.start:
             raise ConfigError(f"run.grid must satisfy 0 <= start <= stop, "
                               f"got [{self.start}, {self.stop}]")
+        if self.points == 1 and self.start < self.stop:
+            raise ConfigError(f"run.grid: 1 point holds start={self.start} alone, not "
+                              f"stop={self.stop}; use points >= 2 or start == stop")
 
     def times(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.points)

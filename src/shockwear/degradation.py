@@ -33,5 +33,5 @@ class DegradationParams:
             warnings.warn(
                 f"alpha2={self.alpha2} < alpha1={self.alpha1}: the shape rate drops after "
                 "a damaging shock, which is unusual for wear-out",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass's generated __init__, to its caller
             )

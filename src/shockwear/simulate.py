@@ -602,8 +602,9 @@ def run_replications(params: ModelParams, horizon: float, dt: float, master_seed
     """Failure times and modes for n_reps replications.
 
     ``horizon`` and ``dt`` must be those of ``params.numerics`` (ValueError
-    otherwise). ``batch_size`` replications advance at a time, which bounds
-    memory; results and guard errors do not depend on it. Returns
+    otherwise). ``batch_size`` replications advance at a time: it bounds the
+    rows of the per-block refill and mark buffers, not the results' 33 bytes
+    per replication, and results and guard errors do not depend on it. Returns
     (failure_time, mode); survivors carry failure_time = inf, mode 0.
     """
     _same_grid(params, Numerics(dt=dt, horizon=horizon))

@@ -1,6 +1,7 @@
-"""The chunk kernel against the per-step loop it replaced, and engine
-properties that must not depend on how replications are grouped in blocks
-or on running several parameter sets side by side."""
+"""The chunk kernel against the per-step loop it replaced (stream contract
+v1's reference, in tests/stream_v1.py), and engine properties that must not
+depend on how replications are grouped in blocks or on running several
+parameter sets side by side."""
 
 import functools
 import pickle
@@ -20,7 +21,7 @@ from shockwear import (
     sweep,
 )
 from shockwear.reliability import apply_sweep_value
-from tests import reference_engine
+from tests import stream_v1
 from tests.conftest import make_params
 
 FIELDS = ("failure_time", "mode", "rate_change_time", "n_shocks", "final_total")
@@ -58,7 +59,7 @@ def _params(case):
 @functools.lru_cache(maxsize=None)
 def _reference(case):
     _, horizon, seed, lo, hi, traces = CASES[case]
-    return reference_engine._simulate_batch(_params(case), horizon, 0.01, seed, lo, hi, traces)
+    return stream_v1._simulate_batch(_params(case), horizon, 0.01, seed, lo, hi, traces)
 
 
 def assert_identical(new, old):
@@ -130,7 +131,7 @@ def test_matrix_reaches_its_cases(monkeypatch):
 
 
 # Wear feeds the intensity (gamma > 0): the fastest-wearing replication
-# crosses rate*dt = 0.1 at t = 3.7, step 370, inside the second chunk.
+# crosses rate*dt = 0.1 inside the second chunk.
 GUARD = dict(lambda0=0.01, gamma=0.2, H=1e3)
 
 
@@ -138,7 +139,7 @@ GUARD = dict(lambda0=0.01, gamma=0.2, H=1e3)
 def test_step_size_error_matches_step_loop(rows):
     p = make_params(horizon=10.0, **GUARD)
     with pytest.raises(StepSizeError) as old:
-        reference_engine._simulate_batch(p, 10.0, 0.01, 5, 0, 300)
+        stream_v1._simulate_batch(p, 10.0, 0.01, 5, 0, 300)
     with pytest.raises(StepSizeError) as new:
         run_replications(p, 10.0, 0.01, 5, 300, batch_size=rows)
     assert str(new.value) == str(old.value)
@@ -159,20 +160,53 @@ def test_step_size_error_names_a_replayable_replication():
     assert alone.value.suggested_dt == batch.value.suggested_dt
 
 
-def test_step_size_error_independent_of_batch_size():
-    # Blocks of 1 to 7 first trip the guard in replication 0, at t = 2.4; the
-    # earliest violation of the run is replication 23's, at t = 1.04.
+def _block_guard_params():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        p = make_params(lambda0=1.0, eta=1.0, D0=12.0, H=5.0, alpha2=0.3, horizon=2.46)
+        return make_params(lambda0=1.0, eta=1.0, D0=12.0, H=5.0, alpha2=0.3, horizon=2.46)
+
+
+def _guard_key(err):
+    return str(err), err.time, err.suggested_dt, err.rep_index
+
+
+def test_step_size_error_independent_of_batch_size():
+    # Small blocks first trip the guard in a replication whose violation is
+    # not the run's earliest (stream_v1.V1 has both).
+    p = _block_guard_params()
     with pytest.raises(StepSizeError) as old:
-        reference_engine._simulate_batch(p, 2.46, 0.01, 0, 0, 31)
+        stream_v1._simulate_batch(p, 2.46, 0.01, 0, 0, 31)
     for batch_size in (1, 3, 7, 31):
         with pytest.raises(StepSizeError) as new:
             run_replications(p, 2.46, 0.01, 0, 31, batch_size=batch_size)
         err = new.value
         assert (str(err), err.suggested_dt) == (str(old.value), old.value.suggested_dt)
-        assert (err.time, err.rep_index) == (1.04, 23)
+        assert (err.time, err.rep_index) == stream_v1.V1["guard_any_batch_size"].value
+
+
+def test_step_size_error_is_the_runs_earliest_for_any_batch_size():
+    # The run's error is its earliest violation at the largest intensity there
+    # (the smallest suggested dt), replayed from each replication alone, for any
+    # block size. The case is the first seed whose first violating replication
+    # trips the guard later than the run's earliest, so blocks of 1 meet a
+    # violation that is not the run's before the one that is.
+    p = _block_guard_params()
+    for seed in range(64):
+        found = []
+        for rep in range(31):
+            try:
+                simulate_replication(p, seed, rep_index=rep)
+            except StepSizeError as err:
+                found.append((err.time, err.suggested_dt, rep, str(err)))
+        if found and found[0][0] > min(found)[0]:
+            break
+    else:
+        pytest.fail("no seed below 64 has a first violating replication after the earliest")
+    time, suggested_dt, rep_index, message = min(found)
+    for batch_size in (1, 3, 7, 31):
+        with pytest.raises(StepSizeError) as run:
+            run_replications(p, 2.46, 0.01, seed, 31, batch_size=batch_size)
+        assert _guard_key(run.value) == (message, time, suggested_dt, rep_index)
 
 
 def test_batch_size_below_one_refused():
@@ -297,16 +331,34 @@ def test_sets_with_different_path_draws_refused(change):
         simulate.simulate_sets(sets, 1, 0, 10)
 
 
-def test_sweep_step_size_error_is_its_first_failing_value_alone():
-    # gamma = 0 never trips the guard; 0.2 trips it at t = 3.7 and 0.3 earlier,
-    # at t = 2.2, but the sweep reports the first value in order that trips it.
+def _sweep_guard_errors():
+    """The guard errors of gamma 0.2 and 0.3, each run alone on GUARD, and of
+    the sweep over 0, 0.2 and 0.3."""
     p = make_params(horizon=10.0, **GUARD)
     grid = np.linspace(0.0, 10.0, 11)
-    with pytest.raises(StepSizeError) as alone:
-        estimate_reliability(apply_sweep_value(p, "gamma", 0.2), grid, 300, 5)
+    errors = {}
+    for gamma in (0.2, 0.3):
+        with pytest.raises(StepSizeError) as alone:
+            estimate_reliability(apply_sweep_value(p, "gamma", gamma), grid, 300, 5)
+        errors[gamma] = alone.value
     with pytest.raises(StepSizeError) as swept:
         sweep(p, "gamma", [0.0, 0.2, 0.3], grid, 300, 5)
-    a, s = alone.value, swept.value
-    assert (str(s), s.time, s.suggested_dt, s.rep_index) == (str(a), a.time, a.suggested_dt,
-                                                              a.rep_index)
-    assert s.time == 3.7
+    return errors[0.2], errors[0.3], swept.value
+
+
+def test_sweep_step_size_error_is_its_first_failing_value_alone():
+    # gamma = 0 never trips the guard; 0.2 trips it and 0.3 earlier, but the
+    # sweep reports the first value in order that trips it.
+    a, _, s = _sweep_guard_errors()
+    assert _guard_key(s) == _guard_key(a)
+    assert s.time == stream_v1.V1["guard_gamma_0.2"].value
+
+
+def test_sweep_step_size_error_follows_value_order():
+    # the premises: gamma = 0 runs, and of the two values that trip the guard
+    # when each runs alone, the later one trips it first
+    p = make_params(horizon=10.0, **GUARD)
+    estimate_reliability(apply_sweep_value(p, "gamma", 0.0), np.linspace(0.0, 10.0, 11), 300, 5)
+    first, later, swept = _sweep_guard_errors()
+    assert later.time < first.time
+    assert _guard_key(swept) == _guard_key(first)

@@ -10,9 +10,16 @@ import pytest
 import shockwear.cli
 import shockwear.reliability
 import shockwear.simulate
-from shockwear import ConfigError, IntegrationError
+from shockwear import (
+    ConfigError,
+    IntegrationError,
+    analytic_reliability,
+    estimate_reliability,
+    sweep,
+)
 from shockwear.cli import main
 from shockwear.config import config_to_dict, dump_config, load_config, parse_config
+from tests.stream_v1 import V1
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "perfbench" / "configs"
@@ -55,6 +62,10 @@ def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def fmt_row(*fields) -> str:
+    return ",".join(f"{x:.17g}" for x in fields)
 
 
 class TestConfigParsing:
@@ -166,6 +177,8 @@ class TestConfigParsing:
          "run.grid must satisfy 0 <= start <= stop"),
         (json.dumps(valve_doc(**{"run.grid.start": -1.0})),
          "run.grid must satisfy 0 <= start <= stop"),
+        # linspace(0, 10, 1) is [0.]: the curve used to stop at t=0 and exit 0
+        (json.dumps(valve_doc(**{"run.grid.points": 1})), "run.grid: 1 point holds start=0.0"),
         # a JSON integer beyond float64's range is not finite, like 1e400
         (json.dumps(valve_doc(**{"model.H": 10 ** 400})), "model.H: must be finite"),
         (json.dumps(valve_doc(**{"run.dt": 10 ** 400})), "run.dt: must be finite"),
@@ -183,9 +196,9 @@ class TestConfigParsing:
         # json's decoder recurses per level and used to exit 1 with a traceback
         ("[" * 100000 + "]" * 100000, "config {path} is nested too deeply to read"),
     ], ids=["no_output", "run_not_object", "nan_H", "W_not_object", "top_level_list",
-            "zero_points", "start_after_stop", "negative_start", "huge_integer_H",
-            "huge_integer_dt", "duplicate_H", "duplicate_section", "duplicate_W_mean",
-            "duplicate_in_array", "not_utf8", "deep_nesting"])
+            "zero_points", "start_after_stop", "negative_start", "one_point_grid",
+            "huge_integer_H", "huge_integer_dt", "duplicate_H", "duplicate_section",
+            "duplicate_W_mean", "duplicate_in_array", "not_utf8", "deep_nesting"])
     def test_refusal_reaches_cli(self, tmp_path, capsys, text, message):
         path = tmp_path / "config.json"
         path.write_bytes(text if isinstance(text, bytes) else text.encode())
@@ -294,13 +307,33 @@ class TestCurveCommand:
         assert parse_config(echoed) == load_config(cfg_path)
 
     def test_pinned_digest(self, tmp_path):
-        # SHA-256 of the curve CSV on valve_doc (2000 reps), pinned so a byte
-        # change in the engine, the reduction or the writer fails here
+        # the curve CSV on valve_doc (2000 reps), pinned so a byte change in
+        # the engine, the reduction or the writer fails here
         out = tmp_path / "curve.csv"
         assert main(["curve", "--config", write_config(tmp_path, valve_doc()),
                      "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "c2a257b0be0bd0019f15f5cedef9cb12714a71da926fea292bd0aaf5b5c8eb17")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == V1["curve_csv"].value
+
+    @pytest.mark.parametrize("model", [{}, {"model.lambda0": 0.5, "model.D0": 15.0,
+                                            "model.D1": 20.0}], ids=["valve", "hard_failures"])
+    def test_rows_are_the_estimate(self, tmp_path, model):
+        out = tmp_path / "curve.csv"
+        path = write_config(tmp_path, valve_doc(**model))
+        assert main(["curve", "--config", path, "--out", str(out)]) == 0
+        cfg = load_config(path)
+        c = estimate_reliability(cfg.model, cfg.run.grid.times(), cfg.run.n_reps,
+                                 cfg.run.master_seed)
+        rows = out.read_text().splitlines()[1:]
+        assert rows == [fmt_row(t, c.estimate[i], c.ci_low[i], c.ci_high[i], c.n_reps,
+                                c.soft_count[i], c.hard_count[i], c.survived_count[i])
+                        for i, t in enumerate(c.grid)]
+        for row in rows:
+            fields = row.split(",")
+            n_reps, soft, hard, survived = map(int, fields[4:])
+            assert soft + hard + survived == n_reps
+            assert float(fields[1]) == survived / n_reps
+        if model:  # every mode occurs by the last grid time
+            assert c.soft_count[-1] and c.hard_count[-1] and c.survived_count[-1]
 
 
 class TestSweepCommand:
@@ -365,12 +398,23 @@ class TestSweepCommand:
 
 
     def test_pinned_digest(self, tmp_path):
-        # SHA-256 of a side-by-side gamma sweep at dt=0.5 (20 steps, 2000 reps)
+        # a side-by-side gamma sweep at dt=0.5 (20 steps, 2000 reps)
         out = tmp_path / "sweep.csv"
         cfg = write_config(tmp_path, valve_doc(**{"run.dt": 0.5}))
         assert main(["sweep", "gamma", "0,0.001,0.01", "--config", cfg, "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "fa4dad00b81d3358d02880ba485714e66f59ea2f7b4c3e4f86f93a892c7cefc7")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == V1["sweep_csv"].value
+
+    def test_rows_are_the_sweep(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        path = write_config(tmp_path, valve_doc(**{"run.dt": 0.5}))
+        assert main(["sweep", "H", "3,5,8", "--config", path, "--out", str(out)]) == 0
+        cfg = load_config(path)
+        curves = sweep(cfg.model, "H", [3.0, 5.0, 8.0], cfg.run.grid.times(), cfg.run.n_reps,
+                       cfg.run.master_seed)
+        assert len({c.estimate.tobytes() for _, c in curves}) == 3  # each value's curve differs
+        assert out.read_text().splitlines()[1:] == [
+            fmt_row(value, t, c.estimate[i], c.ci_low[i], c.ci_high[i])
+            for value, c in curves for i, t in enumerate(c.grid)]
 
 
 class TestValidateCommand:
@@ -447,11 +491,36 @@ class TestValidateCommand:
         assert "P(Y < 0)" in capsys.readouterr().err
 
     def test_pinned_stdout_digest(self, tmp_path, capsys):
-        # SHA-256 of validate's report on decoupled_doc: the Monte Carlo
-        # estimates and the oracle's values as printed
+        # validate's report on decoupled_doc: the Monte Carlo estimates and the
+        # oracle's values as printed
         assert main(["validate", "--config", write_config(tmp_path, self.decoupled_doc())]) == 0
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
-            "64203459d135200120dd8e7e4716c0462ae5b438d74320d0b669e661c7b68b4d")
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == V1["validate_stdout"].value
+
+    def test_report_follows_the_rule(self, tmp_path, capsys):
+        # each line: the estimate at the run's seed, the oracle, their distance,
+        # the tolerance max(3 CI half-widths, --abs-tol 0.01) and the verdict
+        path = write_config(tmp_path, self.decoupled_doc())
+        assert main(["validate", "--config", path]) == 0
+        *lines, summary = capsys.readouterr().out.splitlines()
+        cfg = load_config(path)
+        times = [1.0, 2.0, 4.0]  # the default check times within the horizon of 4
+        c = estimate_reliability(cfg.model, times, cfg.run.n_reps, cfg.run.master_seed)
+        assert len(lines) == len(times)
+        devs = []
+        for i, (t, line) in enumerate(zip(times, lines)):
+            *fields, verdict = line.split()
+            fields = dict(field.split("=") for field in fields)
+            analytic = analytic_reliability(cfg.model, t)
+            dev = abs(c.estimate[i] - analytic)
+            half = 0.5 * (c.ci_high[i] - c.ci_low[i])
+            tol = max(3.0 * half, 0.01)
+            assert fields == {"t": f"{t:g}", "mc": f"{c.estimate[i]:.6f}",
+                              "analytic": f"{analytic:.6f}", "|dev|": f"{dev:.6f}",
+                              "tol": f"{tol:.6f}"}
+            assert verdict == ("ok" if dev <= tol else "FAIL")
+            devs.append(dev)
+        assert summary == f"PASS: max deviation {max(devs):.6f} over 3 times at 5000 replications"
 
 
 def aggressive_doc(**overrides):
@@ -504,21 +573,16 @@ class TestPathsCommand:
                 transitions += 1
         assert transitions > 0
 
-    # SHA-256 of `paths 40` on aggressive_doc, computed when every field of
-    # every row was formatted on its own (tests/test_paths_bytes.py keeps that
-    # writer); 1001 rows per path, so stride 7 ends on an off-stride row.
-    PINNED = {
-        1: "4e97394aac3ec744dae587c28272237b8ca03e2f97a528f1a20c8c64c18a92cd",
-        7: "bb803a4c6b9a81e4d31ecc98e6f2c9c4e89a7c83e8a4d3feb49a419ff01b4057",
-    }
-
-    @pytest.mark.parametrize("stride", sorted(PINNED))
+    # `paths 40` on aggressive_doc, pinned when every field of every row was
+    # formatted on its own (tests/test_paths_bytes.py keeps that writer); 1001
+    # rows per path, so stride 7 ends on an off-stride row.
+    @pytest.mark.parametrize("stride", [1, 7])
     def test_pinned_digest(self, tmp_path, stride):
         out = tmp_path / "paths.csv"
         cfg = write_config(tmp_path, aggressive_doc())
         assert main(["paths", "40", "--stride", str(stride), "--config", cfg,
                      "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PINNED[stride]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == V1[f"paths_csv[{stride}]"].value
 
 
 class TestOutputPath:

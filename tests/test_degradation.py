@@ -139,6 +139,13 @@ class TestJumpAndTrigger:
         with pytest.warns(UserWarning):
             valve_degradation(alpha1=0.9, alpha2=0.5)
 
+    def test_alpha_order_warning_names_the_caller(self):
+        # not the dataclass's generated __init__, whose file reads <string>
+        with pytest.warns(UserWarning, match="alpha2=0.5 < alpha1=0.9") as record:
+            DegradationParams(alpha1=0.9, alpha2=0.5, beta=1.2, jump_law=NormalLaw(0.5, 0.1),
+                              soft_threshold=5.0)
+        assert [w.filename for w in record] == [__file__]
+
 
 class TestPathDistribution:
     def test_endpoint_matches_gamma_law(self):

@@ -17,6 +17,7 @@ from shockwear import (
 from shockwear import simulate
 from shockwear.kernel import facilitation_pmf, gamma_cdf, normal_cdf
 from tests.conftest import make_params
+from tests.stream_v1 import V1
 
 
 class TestBasics:
@@ -248,23 +249,22 @@ class TestTraces:
 
 
 class TestStreamContract:
-    # SHA-256 of failure_time.tobytes() + mode.tobytes() from run_replications,
-    # computed with the SeedSequence-per-stream seeding and the three-call
-    # refill (gamma, random, random) that preceded the block-hashed seeding
-    # and the merged uniform refill (numpy 2.4.6); both changes are meant to be
-    # byte-identical, so these digests must not move unless the stream
-    # contract in simulate.py is deliberately changed.
-    @pytest.mark.parametrize("params, horizon, dt, seed, digest", [
-        (make_params(dt=0.05), 20.0, 0.05, 20260808,
-         "c3a96ad2ebab9e1e1f169e8bd53146b7ecfcf357b1b382cf515e5b1c76fceb48"),
+    # Digests of stream contract v1 (tests/stream_v1.py), first computed with
+    # the SeedSequence-per-stream seeding and the three-call refill (gamma,
+    # random, random) that preceded the block-hashed seeding and the merged
+    # uniform refill; both changes are meant to be byte-identical, so these
+    # digests must not move unless the stream contract in simulate.py is
+    # deliberately changed.
+    @pytest.mark.parametrize("params, horizon, dt, seed, pin", [
+        (make_params(dt=0.05), 20.0, 0.05, 20260808, "run_replications[valve_dt0.05]"),
         # decoupled, shock-heavy, with a random shape multiplier: all three modes occur
         (make_params(gamma=0.0, lambda0=1.0, eta=0.2, D0=15.0, D1=20.0,
                      theta_law=GammaLaw(4.0, 4.0), dt=0.01, horizon=8.0), 8.0, 0.01, 7,
-         "7da31fc0fc5b1b42bea1fd310429a030d602e5652d8950ce3c4c3cc9c911c4d2"),
+         "run_replications[decoupled_shock_heavy]"),
     ], ids=["valve_dt0.05", "decoupled_shock_heavy"])
-    def test_pinned_digest(self, params, horizon, dt, seed, digest):
+    def test_pinned_digest(self, params, horizon, dt, seed, pin):
         ftime, mode = run_replications(params, horizon, dt, seed, 500)
-        assert hashlib.sha256(ftime.tobytes() + mode.tobytes()).hexdigest() == digest
+        assert hashlib.sha256(ftime.tobytes() + mode.tobytes()).hexdigest() == V1[pin].value
 
     def test_inverse_cdf_is_scipys(self):
         # the ufunc loaded from scipy's module file gives scipy.special's bits
