@@ -13,6 +13,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 from collections.abc import Iterable
 from dataclasses import replace
 
@@ -256,26 +257,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _advise(message, category, filename, lineno, file=None, line=None) -> None:
+    """Show a warning as one ``warning:`` line, without the file and source
+    line, which would name the library rather than the config."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     """Load the config and apply the overrides for every verb; echo it on
     --print-config before any verb-specific check, else run the verb on it."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        cfg = _apply_overrides(load_config(args.config), args)
-        if args.print_config:
-            sys.stdout.write(dump_config(cfg))
-            return 0
-        return args.func(cfg, args)
-    except ValueError as exc:  # ConfigError, UnsupportedConfigError and model range errors
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except StepSizeError as exc:
-        print(f"numeric guard: {exc}", file=sys.stderr)
-        return 3
-    except IntegrationError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return 3
+    with warnings.catch_warnings():
+        warnings.showwarning = _advise
+        try:
+            cfg = _apply_overrides(load_config(args.config), args)
+            if args.print_config:
+                sys.stdout.write(dump_config(cfg))
+                return 0
+            return args.func(cfg, args)
+        except ValueError as exc:  # ConfigError, UnsupportedConfigError and model range errors
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        except StepSizeError as exc:
+            print(f"numeric guard: {exc}", file=sys.stderr)
+            return 3
+        except IntegrationError as exc:
+            print(f"numeric error: {exc}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

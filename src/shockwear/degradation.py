@@ -7,6 +7,7 @@ engine in ``simulate`` advances it.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -33,5 +34,17 @@ class DegradationParams:
             warnings.warn(
                 f"alpha2={self.alpha2} < alpha1={self.alpha1}: the shape rate drops after "
                 "a damaging shock, which is unusual for wear-out",
-                stacklevel=3,  # past the dataclass's generated __init__, to its caller
+                stacklevel=_caller_level(),
             )
+
+
+def _caller_level() -> int:
+    """The stacklevel, counted from ``__post_init__``, of the first frame past
+    the dataclass's generated ``__init__`` that is outside this package and
+    ``dataclasses``, so that params built by ``dataclasses.replace``, a sweep
+    or the config reader name the code that asked for them."""
+    level, frame = 3, sys._getframe(3)  # 0 here, 1 __post_init__, 2 the generated __init__
+    while frame.f_back is not None and (
+            frame.f_globals.get("__name__", "").partition(".")[0] in ("shockwear", "dataclasses")):
+        level, frame = level + 1, frame.f_back
+    return level

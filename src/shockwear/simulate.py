@@ -13,13 +13,13 @@ ModelParams.numerics alone. simulate_sets, the engine's one entry, is one loop
 over blocks of consecutive replications in index order; a block builds its
 streams and buffers, runs through every step and is released before the next.
 Memory grows with the block size and with the mark buffer's width (_Marks);
-results depend on neither. It runs one or several
-parameter sets (a sweep's values) side by side: a block owns every draw (the
-path streams, theta, the refill buffers and the mark buffer), each chunk's
-refill is drawn once for the replications still alive under any set, and each
-set applies its own rules to its own rows of it. The path draws depend only on
-theta_law, alpha1, beta and numerics, so sets that share these read exactly
-the draws each would read alone, and sets that do not are refused.
+results depend on neither. It runs one or several parameter sets (a sweep's
+values) side by side: a block owns every draw (the path streams, theta, the
+refill buffers and the mark buffer), each chunk's refill is drawn once for the
+replications still alive under any set, and each set applies its own rules to
+its own rows of it. The path draws depend only on theta_law, alpha1, beta and
+numerics, so sets that share these read exactly the draws each would read
+alone, and sets that do not are refused.
 run_replications, simulate_paths and simulate_replication run one set; the
 first two take horizon and dt only to refuse a grid that is not the model's.
 Each replication advances a chunk of _CHUNK steps at a time: one sequential
@@ -46,10 +46,12 @@ for a given seed):
 
 Marks are read from the block's mark buffer, shared by its sets (_Marks):
 shock s of a replication reads normals 2s and 2s+1 of its mark stream, at
-twice its shock count. A step's arrivals are applied across all arriving rows
-at once, one numpy pass per shock index. The buffer's width is not in the
-contract: numpy's normal sampler keeps no state between values, so
-normal(size=a) then normal(size=b) draws normal(size=a+b).
+twice its shock count, which each set writes at every arrival. A row keeps its
+normals from the lowest next read of any set still running it. A step's
+arrivals are applied across all arriving rows at once, one numpy pass per
+shock index. The buffer's width is not in the contract: numpy's normal
+sampler keeps no state between values, so normal(size=a) then normal(size=b)
+draws normal(size=a+b).
 
 The post-change extra increment is materialized from its uniform by the
 inverse gamma CDF with shape theta*(alpha2-alpha1)*dt, so a changed-rate
@@ -203,10 +205,11 @@ class BatchResult:
 
 class _Marks:
     """A block's mark buffer, shared by its sets: row i of ``normals`` holds
-    normals base[i] .. filled[i]-1 of block row i's mark stream. A read past
-    ``filled`` drops the normals below every running set's next read and tops
-    the row up from its stream. The width, at least doubled when a read does
-    not fit, follows a step's arrivals and the gap between sets' shock counts."""
+    normals base[i] .. filled[i]-1 of block row i's mark stream. A row keeps
+    its normals from the lowest next read (2 * n_shocks) of any set still
+    running it; a read past ``filled`` drops those below and tops the row up.
+    The width, at least doubled when a read does not fit, follows a step's
+    arrivals and the gap between sets' next reads, as a chunk runs set by set."""
 
     def __init__(self, master_seed: int, rep_lo: int, outs: list[BatchResult]):
         n = outs[0].failure_time.size
@@ -215,16 +218,13 @@ class _Marks:
         self.base, self.filled = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
         self.gens = {}  # block row -> its mark stream
 
-    def read(self, ids, start, stop, out: BatchResult) -> tuple[np.ndarray, np.ndarray]:
-        """``normals`` and ``base[ids]``, rows ``ids`` holding normals ``start``
-        .. ``stop``-1 for the set whose results are ``out``."""
+    def read(self, ids, stop) -> tuple[np.ndarray, np.ndarray]:
+        """``normals`` and ``base[ids]``, rows ``ids`` holding normals up to ``stop``-1."""
         short = self.filled[ids] < stop
         if short.any():
-            rows, floor, stop = ids[short], start[short], stop[short]
-            for other in self.outs:  # out's n_shocks lags its reads until the chunk ends
-                if other is not out:
-                    live = other.mode[rows] == 0
-                    floor[live] = np.minimum(floor[live], 2 * other.n_shocks[rows[live]])
+            rows, stop = ids[short], stop[short]
+            floor = np.min([np.where(out.mode[rows] == 0, 2 * out.n_shocks[rows], stop)
+                            for out in self.outs], axis=0)
             width = self.normals.shape[1]
             if (stop - floor).max() > width:
                 more = max(width, int((stop - floor).max()) - width)
@@ -247,39 +247,31 @@ class _Marks:
 
 class _Batch:
     """One parameter set's rows of one block, advanced a chunk at a time on its
-    block's path draws and mark buffer. A set owns only its row state, by
-    block-local id: pure, jumps and nshk, and ``out``, which holds phase and
-    liveness. Its shock s of a row reads the block's marks at 2s and 2s+1."""
+    block's path draws and mark buffer under the rules of ``deg`` and ``shk``.
+    A set owns only its row state, by block-local id: pure and jumps, and
+    ``out``, which holds phase, liveness and the shock counts, each count
+    written at its arrival. Its shock s of a row reads the marks at 2s and 2s+1."""
 
     def __init__(self, params: ModelParams, theta: np.ndarray, marks: _Marks, rep_lo: int,
                  out: BatchResult):
-        deg = params.degradation
-        shk = params.shock
+        deg = self.deg = params.degradation
+        self.shk = params.shock
         n = out.failure_time.size
         self.dt = dt = params.numerics.dt
         self.block_marks = marks
         self.rep_lo = rep_lo
         self.out = out
 
-        self.scale = 1.0 / deg.beta
-        self.d_alpha = deg.alpha2 - deg.alpha1
-        if self.d_alpha > 0.0:
-            self.shape_post = theta * (self.d_alpha * dt)   # additive extra increment
-        elif self.d_alpha < 0.0:
-            self.shape_post = theta * (deg.alpha2 * dt)     # replacement increment (rate decrease)
+        d_alpha = deg.alpha2 - deg.alpha1
+        if d_alpha > 0.0:
+            self.shape_post = theta * (d_alpha * dt)  # additive extra increment
+        elif d_alpha < 0.0:
+            self.shape_post = theta * (deg.alpha2 * dt)  # replacement increment (rate decrease)
         else:
             self.shape_post = None
 
-        # Normal laws of a shock's (magnitude, jump) pair of mark draws.
-        self.mark_mean = (shk.magnitude_law.mean, deg.jump_law.mean)
-        self.mark_sd = (shk.magnitude_law.stdev, deg.jump_law.stdev)
-        self.lam0, self.gdep, self.eta = shk.lambda0, shk.gamma_dep, shk.eta
-        self.d0, self.d1 = shk.damage_threshold, shk.hard_threshold
-        self.soft_h = deg.soft_threshold
-
         self.pure = np.zeros(n)
         self.jumps = np.zeros(n)
-        self.nshk = out.n_shocks  # kept current; a row's count is final once it stops
 
     def advance(self, ids: np.ndarray, k0: int, g1: np.ndarray, u: np.ndarray,
                 path: np.ndarray) -> list[tuple]:
@@ -301,13 +293,14 @@ class _Batch:
         np.cumsum(path, axis=1, out=path)
 
         jumps = self.jumps[ids]
-        nshk = self.nshk[ids]
+        nshk = self.out.n_shocks[ids]
         changed = ~np.isnan(self.out.rate_change_time[ids])
         if self.shape_post is not None and changed.any():
             rows = np.flatnonzero(changed)
             self._repath(path, g1, u2, ids, rows, 0, self.pure[ids[rows]])
 
         want_traces = self.out.traces is not None
+        nshk0 = nshk.copy() if want_traces else None  # the traces' counts at the chunk start
         events: dict[int, list] = {}
 
         violations = []
@@ -325,7 +318,7 @@ class _Batch:
             total = path[act, e] + jumps[act]
             rate = self._rate(nshk[act], total)
             mu = rate * self.dt
-            soft = total >= self.soft_h
+            soft = total >= self.deg.soft_threshold
             over = ~soft & (mu > MAX_RATE_DT)
             running = ~(soft | over)
             counts = np.zeros(act.size, dtype=np.int64)
@@ -344,8 +337,9 @@ class _Batch:
                 hard[arrived] = self._shocks(ids[rows], counts[arrived],
                                              (k0 + 1 + cols) * self.dt, ns, jm, ch)
                 nshk[rows], jumps[rows], changed[rows] = ns, jm, ch
+                self.out.n_shocks[ids[rows]] = ns  # kept current: the mark buffer reads it
                 total[arrived] = path[rows, cols] + jumps[rows]
-                failed[arrived] = hard[arrived] | (total[arrived] >= self.soft_h)
+                failed[arrived] = hard[arrived] | (total[arrived] >= self.deg.soft_threshold)
                 if want_traces:
                     for r, col, jm_r, ns_r in zip(rows.tolist(), cols.tolist(), jm.tolist(),
                                                   ns.tolist()):
@@ -367,15 +361,14 @@ class _Batch:
             act = act[keep]
 
         if want_traces:
-            self._extend_traces(ids, k0, span, path, pos, events)
+            self._extend_traces(ids, k0, span, path, pos, events, nshk0)
         self.pure[ids] = path[:, -1]
         self.jumps[ids] = jumps
-        self.nshk[ids] = nshk
         return violations
 
     def _rate(self, nshk, total):
         """Shock intensity after ``nshk`` shocks at total wear ``total``."""
-        return (1.0 + self.eta * nshk) * (self.lam0 + self.gdep * total)
+        return (1.0 + self.shk.eta * nshk) * (self.shk.lambda0 + self.shk.gamma_dep * total)
 
     def _shocks(self, ids, counts, t_end, nshk, jumps, changed) -> np.ndarray:
         """Apply each row's ``counts`` arrivals in order, as the step loop does.
@@ -386,24 +379,24 @@ class _Batch:
         Updates ``nshk``, ``jumps`` and ``changed`` in place and returns which
         rows took a fatal shock.
         """
-        normals, base = self.block_marks.read(ids, 2 * nshk, 2 * (nshk + counts), self.out)
+        normals, base = self.block_marks.read(ids, 2 * (nshk + counts))
         # A pair maps as numpy's normal(loc, scale) maps a standard normal:
         # loc + scale * z. Pairs after a fatal shock are never read.
-        mu_w, mu_y = self.mark_mean
-        sd_w, sd_y = self.mark_sd
+        shk = self.shk
+        w_law, y_law = shk.magnitude_law, self.deg.jump_law
         hard = np.zeros(ids.size, dtype=bool)
         for k in range(counts.max()):
             q = np.flatnonzero((counts > k) & ~hard)
             col = 2 * nshk[q] - base[q]
-            mag = mu_w + sd_w * normals[ids[q], col]
+            mag = w_law.mean + w_law.stdev * normals[ids[q], col]
             nshk[q] += 1
-            fatal = mag > self.d1
+            fatal = mag > shk.hard_threshold
             hard[q[fatal]] = True
             q, col, mag = q[~fatal], col[~fatal], mag[~fatal]
-            damaged = q[(mag > self.d0) & ~changed[q]]
+            damaged = q[(mag > shk.damage_threshold) & ~changed[q]]
             changed[damaged] = True
             self.out.rate_change_time[ids[damaged]] = t_end[damaged]
-            y = mu_y + sd_y * normals[ids[q], col + 1]
+            y = y_law.mean + y_law.stdev * normals[ids[q], col + 1]
             up = y > 0.0
             jumps[q[up]] += y[up]
         return hard
@@ -434,10 +427,10 @@ class _Batch:
         rows = np.flatnonzero(cand.any(axis=1))
         e[rows] = cand[rows].argmax(axis=1)
 
-        rows = np.flatnonzero((last >= self.soft_h) | (mu_last > MAX_RATE_DT))
+        rows = np.flatnonzero((last >= self.deg.soft_threshold) | (mu_last > MAX_RATE_DT))
         if rows.size:
             total = path[act[rows]] + jm[rows, None]
-            first_soft = (total < self.soft_h).sum(axis=1)
+            first_soft = (total < self.deg.soft_threshold).sum(axis=1)
             mu = self._rate(nshk[act[rows], None], total) * self.dt
             first_over = (mu <= MAX_RATE_DT).sum(axis=1)
             first = np.maximum(np.minimum(first_soft, first_over), p[rows])
@@ -447,8 +440,9 @@ class _Batch:
     def _repath(self, path, g1, u2, ids, rows, j0, start) -> None:
         """Rebuild the pure paths of rate-changed ``rows`` from column j0 on,
         starting from ``start`` (their pure wear before column j0)."""
-        post = _gammaincinv()(self.shape_post[ids[rows], None], u2[rows, j0:]) * self.scale
-        if self.d_alpha > 0.0:
+        deg = self.deg
+        post = _gammaincinv()(self.shape_post[ids[rows], None], u2[rows, j0:]) * (1.0 / deg.beta)
+        if deg.alpha2 > deg.alpha1:
             # rounding as (pure + pre-change increment) + post-change increment
             inc = np.empty((rows.size, 2 * post.shape[1]))
             inc[:, 0::2] = g1[rows, j0:]
@@ -457,13 +451,13 @@ class _Batch:
             inc = post
         inc[:, 0] += start
         np.cumsum(inc, axis=1, out=inc)
-        path[rows, j0:] = inc[:, 1::2] if self.d_alpha > 0.0 else inc
+        path[rows, j0:] = inc[:, 1::2] if deg.alpha2 > deg.alpha1 else inc
 
-    def _extend_traces(self, ids, k0, span, path, pos, events) -> None:
-        """Append a (t, pure, jumps, n_shocks) row per step each row was alive; runs
-        before the write-back, so jumps and nshk still hold the chunk start."""
+    def _extend_traces(self, ids, k0, span, path, pos, events, nshk0) -> None:
+        """Append a (t, pure, jumps, n_shocks) row per step each row was alive, from
+        the chunk start's counts ``nshk0`` and jumps, which are not yet written back."""
         times = [(k0 + j + 1) * self.dt for j in range(span)]
-        jumps0, nshk0 = self.jumps[ids].tolist(), self.nshk[ids].tolist()
+        jumps0, nshk0 = self.jumps[ids].tolist(), nshk0.tolist()
         stops = np.where(self.out.mode[ids] != 0, pos, span).tolist()
         for r, (i, stop) in enumerate(zip(ids.tolist(), stops)):
             pure = path[r, :stop].tolist()
@@ -532,8 +526,9 @@ def simulate_sets(param_sets: list[ModelParams], master_seed: int, rep_lo: int, 
     otherwise). Each result, and the StepSizeError of the first set that has
     one, is bit-identical to running that set alone.
     """
-    if rep_hi <= rep_lo:
-        raise ValueError(f"n_reps must be >= 1, got {rep_hi - rep_lo}")
+    n = rep_hi - rep_lo
+    if n < 1:
+        raise ValueError(f"n_reps must be >= 1, got {n}")
     if rows < 1:
         raise ValueError(f"batch_size must be >= 1, got {rows}")
     shared = [(p.degradation.theta_law, p.degradation.alpha1, p.degradation.beta, p.numerics)
@@ -541,7 +536,11 @@ def simulate_sets(param_sets: list[ModelParams], master_seed: int, rep_lo: int, 
     if any(key != shared[0] for key in shared):
         raise ValueError("parameter sets run together must share theta_law, alpha1, beta "
                          "and numerics, which fix the path draws")
-    outs = [BatchResult(rep_hi - rep_lo, want_traces) for _ in param_sets]
+    try:
+        outs = [BatchResult(n, want_traces) for _ in param_sets]
+    except MemoryError:  # 33 bytes per replication per set, allocated before any work
+        raise ValueError(f"n_reps={n} needs {33 * n * len(param_sets)} bytes of results, "
+                         "more than can be allocated") from None
     violations = [[] for _ in param_sets]
     for lo in range(rep_lo, rep_hi, rows):
         views = [out.view(lo - rep_lo, min(lo + rows, rep_hi) - rep_lo) for out in outs]

@@ -165,6 +165,9 @@ IMPLEMENTATION = (
           (KERNEL + "test_sets_side_by_side_match_each_alone",), "goes with _Marks"),
     Entry(KERNEL + "test_mark_buffer_width_follows_a_steps_arrivals",
           "the mark buffer stays at its first width", (), "goes with _Marks"),
+    Entry(KERNEL + "test_mark_buffer_floor_is_the_lowest_next_read_of_any_set",
+          "a top-up keeps a row's normals from the lowest next read of any running set",
+          (), "goes with _Marks"),
     Entry(KERNEL + "test_one_mark_stream_per_replication",
           "a replication's mark stream is built once, whatever the number of sets", (),
           "goes with per-replication generators"),

@@ -289,6 +289,55 @@ def test_mark_buffer_width_follows_a_steps_arrivals(monkeypatch):
     assert max(base for _, base in seen) > simulate._MARKS
 
 
+def test_mark_buffer_floor_is_the_lowest_next_read_of_any_set(monkeypatch):
+    # the side-by-side twin of the test above: whichever set reads, a top-up
+    # keeps a row's normals from the lowest next read (twice the shock count)
+    # of any set still running it; the counts are tracked here from each set's
+    # arrivals, and each set's results are those it has alone
+    seed, lo, hi = CASES["mark_buffer_refills"][2:5]
+    refills = _params("mark_buffer_refills")
+    sets = [apply_sweep_value(refills, "lambda0", v) for v in (4.5, 5.0, 5.5)]
+    alone = [simulate.simulate_sets([p], seed, lo, hi)[0] for p in sets]
+    counts, chunk_start, reader, cases = {}, {}, [], []
+    real_advance, real_shocks, real_read = (simulate._Batch.advance, simulate._Batch._shocks,
+                                            simulate._Marks.read)
+
+    def count(out):
+        return counts.setdefault(out, np.zeros(out.mode.size, dtype=np.int64))
+
+    def spy_advance(self, *args):
+        chunk_start[self.out] = count(self.out).copy()
+        return real_advance(self, *args)
+
+    def spy_shocks(self, ids, arrivals, t_end, nshk, jumps, changed):
+        reader[:] = [self.out]
+        hard = real_shocks(self, ids, arrivals, t_end, nshk, jumps, changed)
+        count(self.out)[ids] = nshk
+        return hard
+
+    def spy_read(self, ids, stop):
+        rows = ids[self.filled[ids] < stop]
+        next_reads = np.array([np.where(out.mode[rows] == 0, 2 * count(out)[rows], stop.max())
+                               for out in self.outs])
+        normals, base = real_read(self, ids, stop)
+        lowest = next_reads.min(axis=0)
+        assert np.array_equal(self.base[rows], lowest)
+        mine = 2 * count(reader[0])[rows]
+        cases.append((np.any(lowest < mine),
+                       np.any((lowest == mine) & (mine > 2 * chunk_start[reader[0]][rows]))))
+        return normals, base
+
+    monkeypatch.setattr(simulate._Batch, "advance", spy_advance)
+    monkeypatch.setattr(simulate._Batch, "_shocks", spy_shocks)
+    monkeypatch.setattr(simulate._Marks, "read", spy_read)
+    together = simulate.simulate_sets(sets, seed, lo, hi)
+    for res, res_alone in zip(together, alone):
+        assert_identical(res, res_alone)
+    # top-ups reach both sides of the rule: a row kept for another set's next
+    # read, and one kept from the reader's own, past its count at the chunk start
+    assert np.any(cases, axis=0).tolist() == [True, True]
+
+
 def test_one_mark_stream_per_replication(monkeypatch):
     built = []
     real = simulate.replication_stream

@@ -237,6 +237,35 @@ class TestCurveCommand:
         cfg = write_config(tmp_path, valve_doc(**{"model.D0": 45.0}))
         assert main(["curve", "--config", cfg]) == 2
 
+    @pytest.mark.filterwarnings("default::UserWarning")
+    def test_advisory_is_one_line(self, tmp_path, capsys):
+        # the alpha2 < alpha1 advisory, raised in the config reader and in a
+        # sweep's dataclasses.replace, names neither: one line, no file or source
+        cfg = write_config(tmp_path, valve_doc(**{"model.alpha2": 0.3, "run.n_reps": 10,
+                                                  "output.path": str(tmp_path / "c.csv")}))
+        advisory = ("warning: alpha2={} < alpha1=0.5: the shape rate drops after a damaging "
+                    "shock, which is unusual for wear-out")
+        assert main(["curve", "--config", cfg]) == 0
+        assert capsys.readouterr().err.splitlines() == [advisory.format(0.3)]
+        assert main(["sweep", "alpha2", "0.2", "--config", cfg]) == 0
+        assert capsys.readouterr().err.splitlines() == [advisory.format(0.3),
+                                                        advisory.format(0.2)]
+
+    def test_unallocatable_results_are_a_config_error(self, tmp_path, capsys, monkeypatch):
+        # the results are allocated before any work; a real allocation of this
+        # size is never tried, since with overcommit np.full would touch the pages
+        def refuse(self, n, want_traces):
+            raise MemoryError
+
+        monkeypatch.setattr(shockwear.simulate.BatchResult, "__init__", refuse)
+        out = tmp_path / "c.csv"
+        cfg = write_config(tmp_path, valve_doc(**{"output.path": str(out)}))
+        assert main(["curve", "--config", cfg, "--reps", "100000000000"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: n_reps=100000000000 needs 3300000000000 bytes of results, "
+            "more than can be allocated"]
+        assert not out.exists()
+
     def test_guard_error_exit_code(self, tmp_path):
         doc = valve_doc(**{"model.lambda0": 50.0})
         cfg = write_config(tmp_path, doc)

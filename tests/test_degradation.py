@@ -1,6 +1,7 @@
 """Wear-path properties, checked on the engine's end points and step traces."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from scipy import stats
@@ -12,6 +13,7 @@ from shockwear import (
     Numerics,
     run_replications,
     simulate_paths,
+    sweep,
 )
 from shockwear.simulate import simulate_sets
 from tests.conftest import make_params
@@ -145,6 +147,14 @@ class TestJumpAndTrigger:
             DegradationParams(alpha1=0.9, alpha2=0.5, beta=1.2, jump_law=NormalLaw(0.5, 0.1),
                               soft_threshold=5.0)
         assert [w.filename for w in record] == [__file__]
+
+    def test_alpha_order_warning_through_the_library_names_the_caller(self):
+        # past dataclasses.replace and the package's own frames, not dataclasses.py
+        p = make_params(horizon=1.0)
+        with pytest.warns(UserWarning, match="alpha2=0.3 < alpha1=0.5") as record:
+            replace(p.degradation, alpha2=0.3)
+            sweep(p, "alpha2", [0.3], [0.0, 1.0], 10, 1)
+        assert [w.filename for w in record] == [__file__, __file__]
 
 
 class TestPathDistribution:
