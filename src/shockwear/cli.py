@@ -163,45 +163,54 @@ def cmd_validate(cfg: RunConfig, args) -> int:
 def _path_chunks(outcomes, stride: int) -> Iterable[str]:
     """The rows of each trajectory as one string: every stride-th step and the last.
 
-    Each field keeps its text from the row before and is formatted again only
-    when its value changes, which gives the bytes of formatting every field
-    of every row: equal floats have equal text except 0.0 and -0.0, and no
-    field is -0.0 (pure and jumps are sums of nonnegative terms from 0.0),
-    while a NaN never equals the row before, so it is formatted on every row.
-    jumps changes only at shocks, and pure repeats whenever a step's wear
-    increment is below half an ulp of the path (most steps at a wear shape
-    of 0.005 per step). total is formatted again when either changed, and
-    is pure's text while jumps == 0.0, since pure + 0.0 == pure for
-    pure >= 0. A run's traces share their times, so each t is formatted
-    once per run.
+    A field's text is formatted once per run of kept rows in which pure,
+    jumps, n_shocks and the rate flag all keep their values, which gives the
+    bytes of formatting every field of every row: equal floats have equal
+    text except 0.0 and -0.0, and no field is -0.0 (pure and jumps are sums
+    of nonnegative terms from 0.0), while a NaN never equals the row before,
+    so it starts a run of its own. jumps changes only at shocks, and pure
+    repeats whenever a step's wear increment is below half an ulp of the path
+    (most steps at a wear shape of 0.005 per step). total is pure's text while
+    jumps == 0.0, since pure + 0.0 == pure for pure >= 0. The trajectories
+    share their step times, so each t is formatted once, and a run's rows are
+    written with one join over its slice of those texts.
     """
-    t_text: dict[float, str] = {}
+    longest = max((o.trace for o in outcomes), key=len)
+    t_texts = [f"{t:.17g}" for t in longest.t.tolist()]
     for rep, outcome in enumerate(outcomes):
         trace = outcome.trace
-        kept = trace[::stride]
-        if (len(trace) - 1) % stride:
-            kept += trace[-1:]
+        n = len(trace)
+        kept = np.arange(0, n, stride)
+        times = t_texts[:n:stride]
+        if (n - 1) % stride:
+            kept = np.append(kept, n - 1)
+            times.append(t_texts[n - 1])
         changed_at = outcome.rate_change_time
-        if changed_at is None:
-            changed_at = float("inf")
-        last_pure = last_jumps = total_s = None
-        lines = []
-        for t, pure, jumps, n_shocks in kept:
-            t_s = t_text.get(t)
-            if t_s is None:
-                t_s = t_text[t] = f"{t:.17g}"
-            if pure != last_pure:
-                last_pure, pure_s, total_s = pure, f"{pure:.17g}", None
+        columns = (trace.pure[kept], trace.jumps[kept], trace.n_shocks[kept],
+                   trace.t[kept] >= (math.inf if changed_at is None else changed_at))
+        starts = np.zeros(kept.size, dtype=bool)
+        starts[0] = True
+        for column in columns:
+            starts[1:] |= column[1:] != column[:-1]
+        starts = np.flatnonzero(starts)
+        ends = [*starts[1:].tolist(), kept.size]
+        prefix = f"{rep},"
+        last_jumps = jumps_s = None
+        runs = []
+        for a, b, pure, jumps, n_shocks, flag in zip(
+                starts.tolist(), ends, *(column[starts].tolist() for column in columns)):
+            pure_s = f"{pure:.17g}"
             if jumps != last_jumps:
-                last_jumps, jumps_s, total_s = jumps, f"{jumps:.17g}", None
-            if total_s is None:
-                total_s = pure_s if jumps == 0.0 else f"{pure + jumps:.17g}"
-            lines.append(f"{rep},{t_s},{pure_s},{jumps_s},{total_s},{n_shocks},"
-                         f"{'1' if t >= changed_at else '0'}\n")
-        yield "".join(lines)
+                last_jumps, jumps_s = jumps, f"{jumps:.17g}"
+            total_s = pure_s if jumps == 0.0 else f"{pure + jumps:.17g}"
+            tail = f",{pure_s},{jumps_s},{total_s},{n_shocks},{'1' if flag else '0'}\n"
+            runs.append(prefix + (tail + prefix).join(times[a:b]) + tail)
+        yield "".join(runs)
 
 
 def cmd_paths(cfg: RunConfig, args) -> int:
+    if args.reps is not None:
+        raise ConfigError("--reps: paths writes k trajectories; --reps does not apply")
     if args.stride < 1:
         raise ConfigError("--stride must be >= 1")
     path = _output_path(cfg)

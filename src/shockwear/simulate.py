@@ -33,6 +33,11 @@ are bit-identical to visiting every step, and to running each set alone; a
 StepSizeError is that of the first set with a violation and names its earliest
 violating step.
 
+Traces (simulate_paths) stay columnar from the chunk to the caller: a chunk
+keeps each row's slice of its pure path and, per step that took shocks, the
+row's new jumps and shock count; a Trace assembles the columns t, pure, jumps
+and n_shocks from these, with no per-step Python objects.
+
 Stream layout (a compatibility contract: changing it changes every result
 for a given seed):
 
@@ -68,8 +73,8 @@ import importlib.machinery
 import importlib.util
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Literal
 
 import numpy as np
@@ -124,6 +129,47 @@ class ModelParams:
     numerics: Numerics = field(default_factory=Numerics)
 
 
+class Trace(Sequence):
+    """A replication's step-grid trace: row i is ``(t, pure, jumps, n_shocks)``
+    after step i (row 0 is the start, all zero), as Python float, float, float
+    and int. It reads as the tuple of those rows does (len, indexing, slices,
+    iteration, ``==`` and hash) and is backed by read-only column arrays:
+    ``t`` (``arange(len) * dt``, the end-of-step clock), ``pure``, ``jumps``
+    and ``n_shocks`` (int64)."""
+
+    __slots__ = ("t", "pure", "jumps", "n_shocks")
+
+    def __init__(self, t: np.ndarray, pure: np.ndarray, jumps: np.ndarray, n_shocks: np.ndarray):
+        for column in (t, pure, jumps, n_shocks):
+            column.flags.writeable = False
+        self.t, self.pure, self.jumps, self.n_shocks = t, pure, jumps, n_shocks
+
+    def __len__(self) -> int:
+        return self.t.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(zip(self.t[i].tolist(), self.pure[i].tolist(), self.jumps[i].tolist(),
+                             self.n_shocks[i].tolist()))
+        return (float(self.t[i]), float(self.pure[i]), float(self.jumps[i]),
+                int(self.n_shocks[i]))
+
+    def __iter__(self):
+        return zip(self.t.tolist(), self.pure.tolist(), self.jumps.tolist(),
+                   self.n_shocks.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, Trace):
+            return all(np.array_equal(getattr(self, name), getattr(other, name))
+                       for name in self.__slots__)
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
 @dataclass(frozen=True)
 class ReplicationOutcome:
     status: Status
@@ -131,7 +177,7 @@ class ReplicationOutcome:
     rate_change_time: float | None
     n_shocks: int
     final_total_degradation: float
-    trace: tuple[tuple[float, float, float, int], ...] | None = None
+    trace: Trace | None = None
 
 
 def step_count(horizon: float, dt: float) -> int:
@@ -183,7 +229,11 @@ def _gammaincinv():
 
 
 class BatchResult:
-    """Plain arrays for a contiguous range of replications."""
+    """Plain arrays for a contiguous range of replications, and their traces
+    if asked for. A replication's trace is kept as its pure path, one array
+    per chunk it ran (a row per step taken), and its change points, one
+    ``(row, jumps, n_shocks)`` per step that took a shock, in step order;
+    ``trace`` assembles the columns."""
 
     __slots__ = ("failure_time", "mode", "rate_change_time", "n_shocks", "final_total", "traces")
 
@@ -193,7 +243,7 @@ class BatchResult:
         self.rate_change_time = np.full(n, np.nan)
         self.n_shocks = np.zeros(n, dtype=np.int64)
         self.final_total = np.zeros(n)
-        self.traces = [[(0.0, 0.0, 0.0, 0)] for _ in range(n)] if want_traces else None
+        self.traces = [([], []) for _ in range(n)] if want_traces else None
 
     def view(self, lo: int, hi: int) -> BatchResult:
         """Entries lo .. hi-1; writes to the view, and to its traces, land here."""
@@ -201,6 +251,16 @@ class BatchResult:
         for name in self.__slots__:
             setattr(part, name, None if getattr(self, name) is None else getattr(self, name)[lo:hi])
         return part
+
+    def trace(self, j: int, numerics: Numerics) -> Trace:
+        """Replication j's trace on the step grid of ``numerics``."""
+        pure_parts, changes = self.traces[j]
+        pure = np.concatenate([np.zeros(1), *pure_parts])
+        rows = [0, *(row for row, _, _ in changes), pure.size]
+        runs = np.diff(rows)
+        jumps = np.repeat([0.0, *(jm for _, jm, _ in changes)], runs)
+        n_shocks = np.repeat(np.array([0, *(ns for _, _, ns in changes)], dtype=np.int64), runs)
+        return Trace(np.arange(pure.size) * numerics.dt, pure, jumps, n_shocks)
 
 
 class _Marks:
@@ -299,10 +359,7 @@ class _Batch:
             rows = np.flatnonzero(changed)
             self._repath(path, g1, u2, ids, rows, 0, self.pure[ids[rows]])
 
-        want_traces = self.out.traces is not None
-        nshk0 = nshk.copy() if want_traces else None  # the traces' counts at the chunk start
-        events: dict[int, list] = {}
-
+        traces = self.out.traces
         violations = []
         act = np.arange(m)
         pos = np.zeros(m, dtype=np.intp)  # first column not yet processed
@@ -340,10 +397,10 @@ class _Batch:
                 self.out.n_shocks[ids[rows]] = ns  # kept current: the mark buffer reads it
                 total[arrived] = path[rows, cols] + jumps[rows]
                 failed[arrived] = hard[arrived] | (total[arrived] >= self.deg.soft_threshold)
-                if want_traces:
-                    for r, col, jm_r, ns_r in zip(rows.tolist(), cols.tolist(), jm.tolist(),
-                                                  ns.tolist()):
-                        events.setdefault(r, []).append((col, jm_r, ns_r))
+                if traces is not None:  # trace row k+1 holds step k's state
+                    for i, row, jm_r, ns_r in zip(ids[rows].tolist(), (k0 + 1 + cols).tolist(),
+                                                  jm.tolist(), ns.tolist()):
+                        traces[i][1].append((row, jm_r, ns_r))
                 if self.shape_post is not None:
                     switched = changed[rows] & ~was_changed & ~failed[arrived] & (cols + 1 < span)
                     for j in np.flatnonzero(switched):
@@ -360,8 +417,10 @@ class _Batch:
             keep = ~(failed | over) & (e + 1 < span)
             act = act[keep]
 
-        if want_traces:
-            self._extend_traces(ids, k0, span, path, pos, events, nshk0)
+        if traces is not None:  # a failed row's pure path ends at its failure step
+            stops = np.where(self.out.mode[ids] != 0, pos, span).tolist()
+            for i, pure, stop in zip(ids.tolist(), path, stops):
+                traces[i][0].append(pure[:stop].copy())
         self.pure[ids] = path[:, -1]
         self.jumps[ids] = jumps
         return violations
@@ -452,20 +511,6 @@ class _Batch:
         inc[:, 0] += start
         np.cumsum(inc, axis=1, out=inc)
         path[rows, j0:] = inc[:, 1::2] if deg.alpha2 > deg.alpha1 else inc
-
-    def _extend_traces(self, ids, k0, span, path, pos, events, nshk0) -> None:
-        """Append a (t, pure, jumps, n_shocks) row per step each row was alive, from
-        the chunk start's counts ``nshk0`` and jumps, which are not yet written back."""
-        times = [(k0 + j + 1) * self.dt for j in range(span)]
-        jumps0, nshk0 = self.jumps[ids].tolist(), nshk0.tolist()
-        stops = np.where(self.out.mode[ids] != 0, pos, span).tolist()
-        for r, (i, stop) in enumerate(zip(ids.tolist(), stops)):
-            pure = path[r, :stop].tolist()
-            trace = self.out.traces[i]
-            col, jm, ns = 0, jumps0[r], nshk0[r]
-            for nxt, jm_next, ns_next in events.get(r, []) + [(stop, None, None)]:
-                trace.extend(zip(times[col:nxt], pure[col:nxt], repeat(jm), repeat(ns)))
-                col, jm, ns = nxt, jm_next, ns_next
 
 
 def _run_block(param_sets: list[ModelParams], master_seed: int, rep_lo: int,
@@ -566,7 +611,7 @@ def _same_grid(params: ModelParams, grid: Numerics) -> None:
                          f"params.numerics (horizon={num.horizon}, dt={num.dt})")
 
 
-def _outcome(res: BatchResult, j: int) -> ReplicationOutcome:
+def _outcome(res: BatchResult, j: int, numerics: Numerics) -> ReplicationOutcome:
     mode = int(res.mode[j])
     rct = res.rate_change_time[j]
     return ReplicationOutcome(
@@ -575,14 +620,15 @@ def _outcome(res: BatchResult, j: int) -> ReplicationOutcome:
         rate_change_time=None if math.isnan(rct) else float(rct),
         n_shocks=int(res.n_shocks[j]),
         final_total_degradation=float(res.final_total[j]),
-        trace=tuple(res.traces[j]) if res.traces is not None else None,
+        trace=res.trace(j, numerics) if res.traces is not None else None,
     )
 
 
 def simulate_replication(params: ModelParams, master_seed: int,
                          rep_index: int = 0) -> ReplicationOutcome:
     """Run one replication; bit-identical to the same index inside any run."""
-    return _outcome(simulate_sets([params], master_seed, rep_index, rep_index + 1)[0], 0)
+    res = simulate_sets([params], master_seed, rep_index, rep_index + 1)[0]
+    return _outcome(res, 0, params.numerics)
 
 
 def simulate_paths(params: ModelParams, horizon: float, dt: float,
@@ -593,7 +639,7 @@ def simulate_paths(params: ModelParams, horizon: float, dt: float,
         raise ValueError(f"k must be >= 1, got {k}")
     _same_grid(params, Numerics(dt=dt, horizon=horizon))
     res = simulate_sets([params], master_seed, 0, k, want_traces=True)[0]
-    return [_outcome(res, j) for j in range(k)]
+    return [_outcome(res, j, params.numerics) for j in range(k)]
 
 
 def run_replications(params: ModelParams, horizon: float, dt: float, master_seed: int,

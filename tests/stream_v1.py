@@ -18,6 +18,9 @@ properties that hold under any contract. pytest does not collect this module
   operations. The chunk kernel in ``shockwear.simulate`` draws the same
   random numbers in the same order and must reproduce every ``BatchResult``
   field of this loop bit for bit, including the ``StepSizeError`` it raises.
+  Its ``traces`` are the loop's own lists of ``(t, pure, jumps, n_shocks)``
+  row tuples, in place of the engine's column storage; the engine's rows,
+  materialized, must equal them bit for bit and type for type.
 
 A change of contract edits this module: its pins and the loop go, the index
 says which tests lose their v1 assertions and which keep guarding each
@@ -229,7 +232,8 @@ def _simulate_batch(params: ModelParams, horizon: float, dt: float, master_seed:
     shk = params.shock
     n_steps = step_count(horizon, dt)
     n = rep_hi - rep_lo
-    out = BatchResult(n, want_traces)
+    out = BatchResult(n, False)
+    out.traces = [[(0.0, 0.0, 0.0, 0)] for _ in range(n)] if want_traces else None
     if n == 0:
         return out
 

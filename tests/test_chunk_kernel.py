@@ -25,6 +25,7 @@ from tests import stream_v1
 from tests.conftest import make_params
 
 FIELDS = ("failure_time", "mode", "rate_change_time", "n_shocks", "final_total")
+STEP_GRID = simulate.Numerics(dt=0.01)  # every case's dt, the one a trace's t column reads
 
 # id: (make_params overrides, horizon, master_seed, rep_lo, rep_hi, want_traces).
 # Horizons of 2.5 to 7.77 end in a partial chunk of the 256-step refill.
@@ -63,11 +64,18 @@ def _reference(case):
 
 
 def assert_identical(new, old):
+    """``new``, an engine result, field for field against ``old``, whose
+    traces, if any, are the step loop's lists of row tuples."""
     for name in FIELDS:
         a, b = getattr(new, name), getattr(old, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-    # pickles hold every float's bits and the Python types the CSV writer formats
-    assert pickle.dumps(new.traces) == pickle.dumps(old.traces)
+    assert (new.traces is None) == (old.traces is None)
+    if new.traces is not None:
+        assert len(new.traces) == len(old.traces)
+        for j, rows in enumerate(old.traces):
+            # every row materialized; pickles hold every float's bits and the
+            # Python types the CSV writer formats
+            assert pickle.dumps(list(new.trace(j, STEP_GRID))) == pickle.dumps(rows), j
 
 
 ROWS = pytest.mark.parametrize("rows", [simulate._ROWS, 7], ids=["default_rows", "rows7"])

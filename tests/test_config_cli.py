@@ -587,6 +587,22 @@ class TestPathsCommand:
         assert main(["paths", "2", "--stride", "0", "--config", cfg]) == 2
         assert capsys.readouterr().err.startswith("config error: --stride must be >= 1")
 
+    def test_reps_refused_before_engine(self, tmp_path, capsys, monkeypatch):
+        # paths writes k trajectories; --reps used to be accepted and ignored
+        def engine(*args, **kwargs):
+            raise AssertionError("the engine ran on a refused --reps")
+
+        monkeypatch.setattr(shockwear.cli, "simulate_paths", engine)
+        out = tmp_path / "paths.csv"
+        cfg = write_config(tmp_path, valve_doc())
+        argv = ["paths", "2", "--reps", "1", "--config", cfg, "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: --reps: paths writes k trajectories; --reps does not apply"]
+        assert not out.exists()
+        assert main([*argv, "--print-config"]) == 0  # the echo still comes first
+        assert json.loads(capsys.readouterr().out)["run"]["n_reps"] == 1
+
     def test_rate_change_flips_once_in_aggressive_config(self, tmp_path):
         out = tmp_path / "paths.csv"
         cfg = write_config(tmp_path, aggressive_doc(**{"output.path": str(out)}))

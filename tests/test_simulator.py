@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,6 +247,65 @@ class TestTraces:
         slope_before = before_num / before_den
         slope_after = after_num / after_den
         assert slope_after > 1.5 * slope_before
+
+    def test_trace_reads_as_its_rows(self):
+        # shocks, rate changes and failures, so every column varies and traces
+        # end early
+        p = make_params(lambda0=0.4, D0=12.0, horizon=10.0)
+        outs = simulate_paths(p, 10.0, 0.01, 97, 20)
+        assert any(o.status != "survived" for o in outs)
+        assert any(o.trace[-1][3] > 0 and o.trace[-1][2] > 0.0 for o in outs)
+        for o in outs:
+            trace = o.trace
+            n = len(trace)
+            assert n == trace.t.size == trace.pure.size == trace.jumps.size == trace.n_shocks.size
+            rows = [(trace.t[i].item(), trace.pure[i].item(), trace.jumps[i].item(),
+                     trace.n_shocks[i].item()) for i in range(n)]
+            assert all(list(map(type, row)) == [float, float, float, int] for row in rows)
+            for i in (0, 1, n // 2, n - 1, -1, -n):
+                assert trace[i] == rows[i]
+                assert list(map(type, trace[i])) == [float, float, float, int]
+            with pytest.raises(IndexError):
+                trace[n]
+            assert list(trace) == rows
+            assert all(list(map(type, row)) == [float, float, float, int] for row in trace)
+            for s in (slice(None), slice(1, None), slice(None, None, 7), slice(-3, None),
+                      slice(5, 2)):
+                assert trace[s] == tuple(rows)[s]
+            assert trace == tuple(rows) and trace != tuple(rows[:-1])
+            assert trace.t.tolist() == [i * 0.01 for i in range(n)]  # the end-of-step clock
+            assert trace[-1][0] == (o.failure_time if o.failure_time is not None else 10.0)
+            assert trace[-1][1] + trace[-1][2] == o.final_total_degradation
+
+    def test_trace_equality_columns_and_hash(self):
+        p = make_params(lambda0=0.4, D0=12.0, H=50.0, horizon=10.0)
+        a, b, c = (simulate_paths(p, 10.0, 0.01, seed, 3) for seed in (97, 97, 98))
+        assert a == b
+        assert [x.trace == y.trace for x, y in zip(a, b)] == [True] * 3
+        assert all(x.trace != y.trace for x, y in zip(a, c))
+        assert {hash(o) for o in a} == {hash(o) for o in b}  # outcomes stay hashable
+        assert hash(a[0].trace) == hash(tuple(a[0].trace))
+        for name in ("t", "pure", "jumps", "n_shocks"):
+            column = getattr(a[0].trace, name)
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 1
+
+    def test_trace_memory(self):
+        # the outcomes hold their traces as four 8-byte columns, with a small
+        # per-trajectory overhead
+        p = make_params()
+        simulate_paths(p, 20.0, 0.01, 1, 2)  # one-time imports and caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            outs = simulate_paths(p, 20.0, 0.01, 1, 200)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        rows = sum(len(o.trace) for o in outs)
+        assert rows > 100_000
+        assert held / rows <= 48
 
 
 class TestStreamContract:
