@@ -12,14 +12,14 @@ The step grid is the model's: dt and the step count come from
 ModelParams.numerics alone. simulate_sets, the engine's one entry, is one loop
 over blocks of consecutive replications in index order; a block builds its
 streams and buffers, runs through every step and is released before the next.
-Memory grows with the block size and with the mark buffer's width (_Marks);
-results depend on neither. It runs one or several parameter sets (a sweep's
-values) side by side: a block owns every draw (the path streams, theta, the
-refill buffers and the mark buffer), each chunk's refill is drawn once for the
-replications still alive under any set, and each set applies its own rules to
-its own rows of it. The path draws depend only on theta_law, alpha1, beta and
-numerics, so sets that share these read exactly the draws each would read
-alone, and sets that do not are refused.
+Memory grows with the block size and with the mark buffer's width; results
+depend on neither. It runs one or several parameter sets (a sweep's values)
+side by side: a block owns every draw (_V1Draws, which states stream contract
+v1), each chunk's refill is drawn once for the replications still alive under
+any set, and each set applies its own rules to its own rows of it. The path
+draws depend only on theta_law, alpha1, beta and numerics (_V1Draws.key), so
+sets that share these read exactly the draws each would read alone, and sets
+that do not are refused.
 run_replications, simulate_paths and simulate_replication run one set; the
 first two take horizon and dt only to refuse a grid that is not the model's.
 Each replication advances a chunk of _CHUNK steps at a time: one sequential
@@ -37,33 +37,6 @@ Traces (simulate_paths) stay columnar from the chunk to the caller: a chunk
 keeps each row's slice of its pure path and, per step that took shocks, the
 row's new jumps and shock count; a Trace assembles the columns t, pure, jumps
 and n_shocks from these, with no per-step Python objects.
-
-Stream layout (a compatibility contract: changing it changes every result
-for a given seed):
-
-  path stream  : [theta uniform if a theta law is set] then, per chunk of
-                 _CHUNK steps, a block of gamma increments at the pre-change
-                 shape, then one block of 2*_CHUNK uniforms: the first half
-                 for the post-change extra increment, the second half for
-                 arrival counts.
-  marks stream : per shock, one normal magnitude then (if non-fatal) one
-                 normal jump.
-
-Marks are read from the block's mark buffer, shared by its sets (_Marks):
-shock s of a replication reads normals 2s and 2s+1 of its mark stream, at
-twice its shock count, which each set writes at every arrival. A row keeps its
-normals from the lowest next read of any set still running it. A step's
-arrivals are applied across all arriving rows at once, one numpy pass per
-shock index. The buffer's width is not in the contract: numpy's normal
-sampler keeps no state between values, so normal(size=a) then normal(size=b)
-draws normal(size=a+b).
-
-The post-change extra increment is materialized from its uniform by the
-inverse gamma CDF with shape theta*(alpha2-alpha1)*dt, so a changed-rate
-increment is the pre-change increment plus an independent nonnegative term.
-Uniform blocks are drawn whether or not they are used; consumption therefore
-never depends on the trajectory, and two runs with the same master seed see
-identical randomness even when their parameters differ.
 """
 
 from __future__ import annotations
@@ -263,22 +236,80 @@ class BatchResult:
         return Trace(np.arange(pure.size) * numerics.dt, pure, jumps, n_shocks)
 
 
-class _Marks:
-    """A block's mark buffer, shared by its sets: row i of ``normals`` holds
-    normals base[i] .. filled[i]-1 of block row i's mark stream. A row keeps
-    its normals from the lowest next read (2 * n_shocks) of any set still
-    running it; a read past ``filled`` drops those below and tops the row up.
-    The width, at least doubled when a read does not fit, follows a step's
-    arrivals and the gap between sets' next reads, as a chunk runs set by set."""
+class _V1Draws:
+    """Stream contract v1's draws for one block, shared by its sets: the path
+    streams and theta, the refill buffers, the post-change inversion and the
+    mark buffer. Nothing else in the engine consumes a stream, and changing
+    any of this changes every result for a given seed. Layout:
 
-    def __init__(self, master_seed: int, rep_lo: int, outs: list[BatchResult]):
+      path stream  : [theta uniform if a theta law is set] then, per chunk of
+                     _CHUNK steps, a block of gamma increments at the pre-change
+                     shape, then one block of 2*_CHUNK uniforms: the first half
+                     for the post-change extra increment, the second half for
+                     arrival counts.
+      marks stream : per shock, one normal magnitude then (if non-fatal) one
+                     normal jump.
+
+    The post-change extra increment is materialized from its uniform by the
+    inverse gamma CDF with shape theta*(alpha2-alpha1)*dt, so a changed-rate
+    increment is the pre-change increment plus an independent nonnegative term;
+    when the rate falls, the increment at shape theta*alpha2*dt replaces it.
+    Uniform blocks are drawn whether or not they are used; consumption therefore
+    never depends on the trajectory, and two runs with the same master seed see
+    identical randomness even when their parameters differ.
+
+    Shock s of a replication reads normals 2s and 2s+1 of its mark stream, at
+    twice its shock count, which each set writes at every arrival. Row i of
+    ``normals`` holds normals base[i] .. filled[i]-1 of block row i's mark
+    stream. A row keeps its normals from the lowest next read (2 * n_shocks) of
+    any set still running it; a read past ``filled`` drops those below and tops
+    the row up. The width, at least doubled when a read does not fit, follows a
+    step's arrivals and the gap between sets' next reads, as a chunk runs set by
+    set. The width is not in the contract: numpy's normal sampler keeps no state
+    between values, so normal(size=a) then normal(size=b) draws normal(size=a+b).
+    """
+
+    @staticmethod
+    def key(params: ModelParams) -> tuple:
+        """What fixes the path draws: the fields of ``params`` that __init__ reads."""
+        deg = params.degradation
+        return deg.theta_law, deg.alpha1, deg.beta, params.numerics
+
+    def __init__(self, params: ModelParams, master_seed: int, rep_lo: int,
+                 outs: list[BatchResult]):
+        tl, alpha1, beta, num = self.key(params)
         n = outs[0].failure_time.size
-        self.master_seed, self.rep_lo, self.outs = master_seed, rep_lo, outs
+        self.master_seed, self.rep_lo, self.outs, self.dt = master_seed, rep_lo, outs, num.dt
+        self.path_gens = [replication_stream(master_seed, rep_lo + j, PATH_STREAM)
+                          for j in range(n)]
+        self.theta = np.ones(n) if tl is None else (
+            _gammaincinv()(tl.shape, [g.random() for g in self.path_gens]) / tl.rate)
+        self.shape_pre, self.scale = self.theta * (alpha1 * num.dt), 1.0 / beta
+        cols = min(step_count(num.horizon, num.dt), _CHUNK)
+        self.g1_buf, self.u_buf = np.empty((n, cols)), np.empty((n, 2 * cols))
         self.normals = np.empty((n, _MARKS))
         self.base, self.filled = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
-        self.gens = {}  # block row -> its mark stream
+        self.mark_gens = {}  # block row -> its mark stream
 
-    def read(self, ids, stop) -> tuple[np.ndarray, np.ndarray]:
+    def chunk(self, union: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The next ``span`` steps' draws of block rows ``union``, a row each, until the
+        next chunk: pre-change increments ``g1``, post-change ``u2`` and arrival ``upois``."""
+        g1 = self.g1_buf[:len(union), :span]
+        u = self.u_buf[:len(union), :2 * span]
+        for i, shape, g1_row, u_row in zip(union.tolist(), self.shape_pre[union].tolist(), g1, u):
+            g = self.path_gens[i]
+            g.standard_gamma(shape, out=g1_row)
+            g.random(out=u_row)
+        g1 *= self.scale  # the draws of g.gamma(shape, scale): numpy scales standard gammas
+        return g1, u[:, :span], u[:, span:]
+
+    def post(self, deg: DegradationParams, ids: np.ndarray, u2: np.ndarray) -> np.ndarray:
+        """Post-change increments of block rows ``ids`` under ``deg``, from a row of ``u2`` each."""
+        d_alpha = deg.alpha2 - deg.alpha1
+        shape = self.theta[ids] * ((d_alpha if d_alpha > 0.0 else deg.alpha2) * self.dt)
+        return _gammaincinv()(shape[:, None], u2) * self.scale
+
+    def marks(self, ids, stop) -> tuple[np.ndarray, np.ndarray]:
         """``normals`` and ``base[ids]``, rows ``ids`` holding normals up to ``stop``-1."""
         short = self.filled[ids] < stop
         if short.any():
@@ -296,55 +327,42 @@ class _Marks:
                         for i in rows[new].tolist()]
                 self.normals[rows[new]] = [g.normal(size=width) for g in gens]
                 self.filled[rows[new]] = width
-                self.gens.update(zip(rows[new].tolist(), gens))
+                self.mark_gens.update(zip(rows[new].tolist(), gens))
             for i, lo in zip(rows[~new].tolist(), floor[~new].tolist()):  # rare: top-ups
                 row, kept = self.normals[i], self.filled[i] - lo
                 row[:kept] = row[lo - self.base[i]:self.filled[i] - self.base[i]]
-                row[kept:] = self.gens[i].normal(size=width - kept)
+                row[kept:] = self.mark_gens[i].normal(size=width - kept)
                 self.base[i], self.filled[i] = lo, lo + width
         return self.normals, self.base[ids]
 
 
 class _Batch:
     """One parameter set's rows of one block, advanced a chunk at a time on its
-    block's path draws and mark buffer under the rules of ``deg`` and ``shk``.
-    A set owns only its row state, by block-local id: pure and jumps, and
-    ``out``, which holds phase, liveness and the shock counts, each count
-    written at its arrival. Its shock s of a row reads the marks at 2s and 2s+1."""
+    block's draws under the rules of ``deg`` and ``shk``. A set owns only its
+    row state, by block-local id: pure and jumps, and ``out``, which holds
+    phase, liveness and the shock counts, each count written at its arrival."""
 
-    def __init__(self, params: ModelParams, theta: np.ndarray, marks: _Marks, rep_lo: int,
-                 out: BatchResult):
-        deg = self.deg = params.degradation
+    def __init__(self, params: ModelParams, draws: _V1Draws, out: BatchResult):
+        self.deg = params.degradation
         self.shk = params.shock
         n = out.failure_time.size
-        self.dt = dt = params.numerics.dt
-        self.block_marks = marks
-        self.rep_lo = rep_lo
+        self.dt = params.numerics.dt
+        self.draws = draws
         self.out = out
-
-        d_alpha = deg.alpha2 - deg.alpha1
-        if d_alpha > 0.0:
-            self.shape_post = theta * (d_alpha * dt)  # additive extra increment
-        elif d_alpha < 0.0:
-            self.shape_post = theta * (deg.alpha2 * dt)  # replacement increment (rate decrease)
-        else:
-            self.shape_post = None
-
         self.pure = np.zeros(n)
         self.jumps = np.zeros(n)
 
-    def advance(self, ids: np.ndarray, k0: int, g1: np.ndarray, u: np.ndarray,
-                path: np.ndarray) -> list[tuple]:
+    def advance(self, ids: np.ndarray, k0: int, g1: np.ndarray, u2: np.ndarray,
+                upois: np.ndarray, path: np.ndarray) -> list[tuple]:
         """Advance rows ``ids`` (alive, ascending) through steps k0 .. k0+span-1.
 
-        ``g1`` and ``u`` hold the rows' pre-change increments and uniforms of
-        the chunk, which are only read; ``path`` is scratch of the same shape
-        as ``g1``. Returns the guard violations met, one ``(step, -rate,
+        ``g1``, ``u2`` and ``upois`` hold the rows' draws of the chunk
+        (_V1Draws.chunk), which are only read; ``path`` is scratch of the same
+        shape as ``g1``. Returns the guard violations met, one ``(step, -rate,
         rep_index)`` per row that stopped at its first step with ``rate*dt >
         MAX_RATE_DT``: the earliest step, at the largest intensity, sorts first.
         """
         m, span = g1.shape
-        u2, upois = u[:, :span], u[:, span:]
 
         # Pure-wear path of every row at every column of the chunk. Accumulation
         # is sequential, so each entry is the running sum the step loop forms.
@@ -355,7 +373,7 @@ class _Batch:
         jumps = self.jumps[ids]
         nshk = self.out.n_shocks[ids]
         changed = ~np.isnan(self.out.rate_change_time[ids])
-        if self.shape_post is not None and changed.any():
+        if self.deg.alpha2 != self.deg.alpha1 and changed.any():
             rows = np.flatnonzero(changed)
             self._repath(path, g1, u2, ids, rows, 0, self.pure[ids[rows]])
 
@@ -382,7 +400,7 @@ class _Batch:
             if running.any():
                 counts[running] = poisson_counts(mu[running], upois[act[running], e[running]])
             for j in np.flatnonzero(over):
-                violations.append((k0 + int(e[j]), -rate[j], self.rep_lo + int(ids[act[j]])))
+                violations.append((k0 + int(e[j]), -rate[j], self.draws.rep_lo + int(ids[act[j]])))
 
             failed = soft.copy()
             hard = np.zeros(act.size, dtype=bool)
@@ -401,7 +419,7 @@ class _Batch:
                     for i, row, jm_r, ns_r in zip(ids[rows].tolist(), (k0 + 1 + cols).tolist(),
                                                   jm.tolist(), ns.tolist()):
                         traces[i][1].append((row, jm_r, ns_r))
-                if self.shape_post is not None:
+                if self.deg.alpha2 != self.deg.alpha1:
                     switched = changed[rows] & ~was_changed & ~failed[arrived] & (cols + 1 < span)
                     for j in np.flatnonzero(switched):
                         self._repath(path, g1, u2, ids, rows[j:j + 1], cols[j] + 1,
@@ -438,7 +456,7 @@ class _Batch:
         Updates ``nshk``, ``jumps`` and ``changed`` in place and returns which
         rows took a fatal shock.
         """
-        normals, base = self.block_marks.read(ids, 2 * (nshk + counts))
+        normals, base = self.draws.marks(ids, 2 * (nshk + counts))
         # A pair maps as numpy's normal(loc, scale) maps a standard normal:
         # loc + scale * z. Pairs after a fatal shock are never read.
         shk = self.shk
@@ -500,7 +518,7 @@ class _Batch:
         """Rebuild the pure paths of rate-changed ``rows`` from column j0 on,
         starting from ``start`` (their pure wear before column j0)."""
         deg = self.deg
-        post = _gammaincinv()(self.shape_post[ids[rows], None], u2[rows, j0:]) * (1.0 / deg.beta)
+        post = self.draws.post(deg, ids[rows], u2[rows, j0:])
         if deg.alpha2 > deg.alpha1:
             # rounding as (pure + pre-change increment) + post-change increment
             inc = np.empty((rows.size, 2 * post.shape[1]))
@@ -518,23 +536,12 @@ def _run_block(param_sets: list[ModelParams], master_seed: int, rep_lo: int,
     """One block of replications under every parameter set, on one set of path
     draws; returns each set's guard violations. A set stops at its first
     violating chunk, as the run will raise. Nothing made here outlives the call."""
-    deg, num = param_sets[0].degradation, param_sets[0].numerics
+    num = param_sets[0].numerics
     n_steps = step_count(num.horizon, num.dt)
-    n = outs[0].failure_time.size
-    path_gens = [replication_stream(master_seed, rep_lo + j, PATH_STREAM) for j in range(n)]
-    tl = deg.theta_law
-    theta = np.ones(n) if tl is None else (
-        _gammaincinv()(tl.shape, [g.random() for g in path_gens]) / tl.rate)
-    shape_pre = theta * (deg.alpha1 * num.dt)
-    scale = 1.0 / deg.beta
-    marks = _Marks(master_seed, rep_lo, outs)
-    batches = [_Batch(p, theta, marks, rep_lo, out) for p, out in zip(param_sets, outs)]
+    draws = _V1Draws(param_sets[0], master_seed, rep_lo, outs)
+    batches = [_Batch(p, draws, out) for p, out in zip(param_sets, outs)]
     violations = [[] for _ in batches]
-
-    cols = min(n_steps, _CHUNK)
-    g1_buf = np.empty((n, cols))
-    u_buf = np.empty((n, 2 * cols))
-    path_buf = np.empty((n, cols))
+    path_buf = np.empty((outs[0].failure_time.size, min(n_steps, _CHUNK)))
     for k0 in range(0, n_steps, _CHUNK):
         # each set's running rows; none once the set has met a violation
         live = [(b.out.mode == 0) & (not found) for b, found in zip(batches, violations)]
@@ -542,20 +549,13 @@ def _run_block(param_sets: list[ModelParams], master_seed: int, rep_lo: int,
         if union.size == 0:
             break
         m, span = union.size, min(_CHUNK, n_steps - k0)
-        g1 = g1_buf[:m, :span]
-        u = u_buf[:m, :2 * span]
-        for i, shape, g1_row, u_row in zip(union.tolist(), shape_pre[union].tolist(), g1, u):
-            g = path_gens[i]
-            g.standard_gamma(shape, out=g1_row)
-            g.random(out=u_row)
-        g1 *= scale  # the draws of g.gamma(shape, scale): numpy scales standard gammas
+        g1, u2, upois = draws.chunk(union, span)
         for b, found, rows_alive in zip(batches, violations, live):
             ids = np.flatnonzero(rows_alive)
-            if ids.size == m:
-                found += b.advance(ids, k0, g1, u, path_buf[:m, :span])
-            elif ids.size:
-                rows = np.searchsorted(union, ids)
-                found += b.advance(ids, k0, g1[rows], u[rows], path_buf[:ids.size, :span])
+            if ids.size:
+                rows = slice(None) if ids.size == m else np.searchsorted(union, ids)
+                found += b.advance(ids, k0, g1[rows], u2[rows], upois[rows],
+                                   path_buf[:ids.size, :span])
     for b in batches:  # a set with a violation raises, so its totals are never read
         rows = np.flatnonzero(b.out.mode == 0)
         b.out.final_total[rows] = b.pure[rows] + b.jumps[rows]
@@ -576,9 +576,7 @@ def simulate_sets(param_sets: list[ModelParams], master_seed: int, rep_lo: int, 
         raise ValueError(f"n_reps must be >= 1, got {n}")
     if rows < 1:
         raise ValueError(f"batch_size must be >= 1, got {rows}")
-    shared = [(p.degradation.theta_law, p.degradation.alpha1, p.degradation.beta, p.numerics)
-              for p in param_sets]
-    if any(key != shared[0] for key in shared):
+    if any(_V1Draws.key(p) != _V1Draws.key(param_sets[0]) for p in param_sets):
         raise ValueError("parameter sets run together must share theta_law, alpha1, beta "
                          "and numerics, which fix the path draws")
     try:
@@ -639,7 +637,9 @@ def simulate_paths(params: ModelParams, horizon: float, dt: float,
         raise ValueError(f"k must be >= 1, got {k}")
     _same_grid(params, Numerics(dt=dt, horizon=horizon))
     res = simulate_sets([params], master_seed, 0, k, want_traces=True)[0]
-    return [_outcome(res, j, params.numerics) for j in range(k)]
+    for j in range(k):  # each replication's trace parts give way to its outcome
+        res.traces[j] = _outcome(res, j, params.numerics)
+    return res.traces
 
 
 def run_replications(params: ModelParams, horizon: float, dt: float, master_seed: int,

@@ -1,8 +1,9 @@
 """Stream contract v1: the one test module that knows its bytes.
 
 Stream contract v1 is the draw layout stated in ``shockwear.simulate``'s
-module docstring: per-replication PCG64 streams seeded by SeedSequence, path
-stream 0 and mark stream 1, refilled a chunk of ``_CHUNK`` steps at a time.
+``_V1Draws``, the engine's one source of randomness: per-replication PCG64
+streams seeded by SeedSequence, path stream 0 and mark stream 1, refilled a
+chunk of ``_CHUNK`` steps at a time.
 Every test that depends on v1 is indexed here; the rest guard laws and
 properties that hold under any contract. pytest does not collect this module
 (its name has no ``test_`` prefix); the tests import from it:
@@ -154,7 +155,7 @@ IMPLEMENTATION = (
           "goes with the v1 loop; a v2 loop on the same addressed numbers would replace it"),
     Entry(KERNEL + "test_small_mark_buffers_match_step_loop",
           "mark reads do not depend on the mark buffer's width (_MARKS)", (),
-          "goes with _Marks"),
+          "goes with _V1Draws.marks"),
     Entry(KERNEL + "test_matrix_reaches_its_cases",
           "the step-loop cases reach multi-arrival steps, refills and in-chunk failures",
           (), "goes with the v1 loop"),
@@ -165,12 +166,12 @@ IMPLEMENTATION = (
           "goes with the v1 loop"),
     Entry(KERNEL + "test_sets_side_by_side_small_mark_buffers",
           "sets that share a mark buffer read the marks each reads alone",
-          (KERNEL + "test_sets_side_by_side_match_each_alone",), "goes with _Marks"),
+          (KERNEL + "test_sets_side_by_side_match_each_alone",), "goes with _V1Draws.marks"),
     Entry(KERNEL + "test_mark_buffer_width_follows_a_steps_arrivals",
-          "the mark buffer stays at its first width", (), "goes with _Marks"),
+          "the mark buffer stays at its first width", (), "goes with _V1Draws.marks"),
     Entry(KERNEL + "test_mark_buffer_floor_is_the_lowest_next_read_of_any_set",
           "a top-up keeps a row's normals from the lowest next read of any running set",
-          (), "goes with _Marks"),
+          (), "goes with _V1Draws.marks"),
     Entry(KERNEL + "test_one_mark_stream_per_replication",
           "a replication's mark stream is built once, whatever the number of sets", (),
           "goes with per-replication generators"),
@@ -195,8 +196,8 @@ IMPLEMENTATION = (
           "a replication's generator pickles with its state", (),
           "goes with per-replication generators"),
     Entry("tests/test_rng.py::test_normal_draws_concatenate",
-          "numpy's normal sampler keeps no state between values, which _Marks relies on",
-          (), "goes with _Marks"),
+          "numpy's normal sampler keeps no state between values, which _V1Draws.marks relies on",
+          (), "goes with _V1Draws.marks"),
     *(Entry(f"tests/test_kernel.py::TestGammaSampler::{name}",
             "numpy's gamma sampler, which the path refill calls",
             ("tests/test_degradation.py::TestPathDistribution::test_endpoint_matches_gamma_law",

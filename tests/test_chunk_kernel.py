@@ -3,7 +3,9 @@ v1's reference, in tests/stream_v1.py), and engine properties that must not
 depend on how replications are grouped in blocks or on running several
 parameter sets side by side."""
 
+import ast
 import functools
+import inspect
 import pickle
 import warnings
 
@@ -282,14 +284,14 @@ def test_mark_buffer_width_follows_a_steps_arrivals(monkeypatch):
     # a top-up drops the normals every running set has read, so rows taking up
     # to about 60 shocks keep the first width of 16 shocks
     seen = []
-    real = simulate._Marks.read
+    real = simulate._V1Draws.marks
 
     def spy(self, *args):
         normals, base = real(self, *args)
         seen.append((normals.shape[1], base.max()))
         return normals, base
 
-    monkeypatch.setattr(simulate._Marks, "read", spy)
+    monkeypatch.setattr(simulate._V1Draws, "marks", spy)
     seed, lo, hi = CASES["mark_buffer_refills"][2:5]
     res = simulate.simulate_sets([_params("mark_buffer_refills")], seed, lo, hi)[0]
     assert 2 * res.n_shocks.max() > 3 * simulate._MARKS
@@ -308,7 +310,7 @@ def test_mark_buffer_floor_is_the_lowest_next_read_of_any_set(monkeypatch):
     alone = [simulate.simulate_sets([p], seed, lo, hi)[0] for p in sets]
     counts, chunk_start, reader, cases = {}, {}, [], []
     real_advance, real_shocks, real_read = (simulate._Batch.advance, simulate._Batch._shocks,
-                                            simulate._Marks.read)
+                                            simulate._V1Draws.marks)
 
     def count(out):
         return counts.setdefault(out, np.zeros(out.mode.size, dtype=np.int64))
@@ -337,7 +339,7 @@ def test_mark_buffer_floor_is_the_lowest_next_read_of_any_set(monkeypatch):
 
     monkeypatch.setattr(simulate._Batch, "advance", spy_advance)
     monkeypatch.setattr(simulate._Batch, "_shocks", spy_shocks)
-    monkeypatch.setattr(simulate._Marks, "read", spy_read)
+    monkeypatch.setattr(simulate._V1Draws, "marks", spy_read)
     together = simulate.simulate_sets(sets, seed, lo, hi)
     for res, res_alone in zip(together, alone):
         assert_identical(res, res_alone)
@@ -360,6 +362,34 @@ def test_one_mark_stream_per_replication(monkeypatch):
     shocked = [res.n_shocks > 0 for res in together]
     assert sorted(built) == (3 + np.flatnonzero(np.logical_or.reduce(shocked))).tolist()
     assert sum(s.sum() for s in shocked) > len(built)  # replications shocked under several sets
+
+
+def test_only_v1_draws_consumes_a_stream():
+    # _V1Draws is the engine's one source of randomness: no other code in
+    # simulate.py names a stream, the inverse gamma CDF or a generator's draw
+    # methods, so a second stream contract is a second draws class and no rule
+    # changes. (The import binds the stream names as module globals, which
+    # perfbench's tracer wraps; _gammaincinv's own definition names nothing.)
+    names = {"replication_stream", "_gammaincinv", "PATH_STREAM", "MARK_STREAM"}
+    methods = {"standard_gamma", "random", "normal"}
+
+    def named(nodes):
+        found = set()
+        for node in nodes:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and sub.id in names:
+                    found.add(sub.id)
+                elif isinstance(sub, ast.Attribute) and sub.attr in names | methods:
+                    found.add("." + sub.attr)
+        return found
+
+    module = ast.parse(inspect.getsource(simulate))
+    draws = [node for node in module.body
+             if isinstance(node, ast.ClassDef) and node.name == "_V1Draws"]
+    rest = [node for node in module.body if node not in draws]
+    assert len(draws) == 1
+    assert named(draws) == names | {"." + m for m in methods}  # the check sees them
+    assert named(rest) == set()
 
 
 @pytest.mark.parametrize("case", list(SWEEPS))

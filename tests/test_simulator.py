@@ -293,19 +293,22 @@ class TestTraces:
 
     def test_trace_memory(self):
         # the outcomes hold their traces as four 8-byte columns, with a small
-        # per-trajectory overhead
+        # per-trajectory overhead; at the peak, each replication's trace is
+        # held in one form, its engine parts going once its columns exist
         p = make_params()
         simulate_paths(p, 20.0, 0.01, 1, 2)  # one-time imports and caches
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
             outs = simulate_paths(p, 20.0, 0.01, 1, 200)
-            held = tracemalloc.get_traced_memory()[0] - before
+            held, peak = (size - before for size in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
         rows = sum(len(o.trace) for o in outs)
         assert rows > 100_000
         assert held / rows <= 48
+        assert peak / rows <= 36
 
 
 class TestStreamContract:
