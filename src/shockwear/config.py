@@ -64,7 +64,11 @@ class GridSpec:
                               f"stop={self.stop}; use points >= 2 or start == stop")
 
     def times(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.points)
+        try:
+            return np.linspace(self.start, self.stop, self.points)
+        except MemoryError:  # 8 bytes per point, allocated before any work
+            raise ConfigError(f"run.grid.points={self.points} needs {8 * self.points} bytes of "
+                              "grid times, more than can be allocated") from None
 
 
 @dataclass(frozen=True)

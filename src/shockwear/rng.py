@@ -3,11 +3,12 @@
 Every replication owns private generators derived from
 (master_seed, replication_index) through SeedSequence spawn keys, so a
 replication's randomness never depends on scheduling, batching or thread
-count. Stream 0 drives the continuous path (wear increments, arrival
-uniforms), stream 1 the per-shock marks (magnitude, jump size). Keeping
-marks on their own stream pins the j-th shock of a replication to the same
-magnitude and jump across model variants run with the same master seed,
-which is what makes paired-seed comparisons monotone.
+count. Stream 0 drives the continuous path (theta's uniform when theta is
+random, wear increments, the post-change uniforms and the arrival uniforms),
+stream 1 the per-shock marks (magnitude, jump size). Keeping marks on their
+own stream pins the j-th shock of a replication to the same magnitude and
+jump across model variants run with the same master seed, which is what
+makes paired-seed comparisons monotone.
 
 Stream `s` of replication `rep` is `PCG64` seeded by
 `SeedSequence(master_seed, spawn_key=(rep, s))`. Building one SeedSequence

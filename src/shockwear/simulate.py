@@ -240,15 +240,16 @@ class _V1Draws:
     """Stream contract v1's draws for one block, shared by its sets: the path
     streams and theta, the refill buffers, the post-change inversion and the
     mark buffer. Nothing else in the engine consumes a stream, and changing
-    any of this changes every result for a given seed. Layout:
+    any of this changes every result for a given seed. The rules ask by block
+    row and shock, never by buffer position, through chunk, rows, post and
+    marks: the contract a second draws class implements. Layout:
 
       path stream  : [theta uniform if a theta law is set] then, per chunk of
                      _CHUNK steps, a block of gamma increments at the pre-change
                      shape, then one block of 2*_CHUNK uniforms: the first half
                      for the post-change extra increment, the second half for
                      arrival counts.
-      marks stream : per shock, one normal magnitude then (if non-fatal) one
-                     normal jump.
+      marks stream : per shock s, the (magnitude, jump) pair of normals 2s and 2s+1.
 
     The post-change extra increment is materialized from its uniform by the
     inverse gamma CDF with shape theta*(alpha2-alpha1)*dt, so a changed-rate
@@ -258,15 +259,14 @@ class _V1Draws:
     never depends on the trajectory, and two runs with the same master seed see
     identical randomness even when their parameters differ.
 
-    Shock s of a replication reads normals 2s and 2s+1 of its mark stream, at
-    twice its shock count, which each set writes at every arrival. Row i of
-    ``normals`` holds normals base[i] .. filled[i]-1 of block row i's mark
-    stream. A row keeps its normals from the lowest next read (2 * n_shocks) of
-    any set still running it; a read past ``filled`` drops those below and tops
-    the row up. The width, at least doubled when a read does not fit, follows a
-    step's arrivals and the gap between sets' next reads, as a chunk runs set by
-    set. The width is not in the contract: numpy's normal sampler keeps no state
-    between values, so normal(size=a) then normal(size=b) draws normal(size=a+b).
+    Row i of ``normals`` holds normals base[i] .. filled[i]-1 of block row i's
+    mark stream, from the lowest next read (twice the shock count, which each
+    set writes at every arrival) of any set still running it; a read past
+    ``filled`` drops those below and tops the row up. The width, at least
+    doubled when a read does not fit, follows a step's arrivals and the gap
+    between sets' next reads, as a chunk runs set by set. It is not in the
+    contract: numpy's normal sampler keeps no state between values, so
+    normal(size=a) then normal(size=b) draws normal(size=a+b).
     """
 
     @staticmethod
@@ -290,10 +290,11 @@ class _V1Draws:
         self.normals = np.empty((n, _MARKS))
         self.base, self.filled = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
         self.mark_gens = {}  # block row -> its mark stream
+        self.at = np.zeros(n, dtype=np.intp)  # block row -> its row of the chunk
 
-    def chunk(self, union: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The next ``span`` steps' draws of block rows ``union``, a row each, until the
-        next chunk: pre-change increments ``g1``, post-change ``u2`` and arrival ``upois``."""
+    def chunk(self, union: np.ndarray, span: int) -> None:
+        """Draw and keep the next ``span`` steps of block rows ``union`` (ascending):
+        pre-change increments ``g1``, post-change ``u2`` and arrival ``upois``."""
         g1 = self.g1_buf[:len(union), :span]
         u = self.u_buf[:len(union), :2 * span]
         for i, shape, g1_row, u_row in zip(union.tolist(), self.shape_pre[union].tolist(), g1, u):
@@ -301,16 +302,26 @@ class _V1Draws:
             g.standard_gamma(shape, out=g1_row)
             g.random(out=u_row)
         g1 *= self.scale  # the draws of g.gamma(shape, scale): numpy scales standard gammas
-        return g1, u[:, :span], u[:, span:]
+        self.at[union] = np.arange(union.size)
+        self.g1, self.u2, self.upois = g1, u[:, :span], u[:, span:]
 
-    def post(self, deg: DegradationParams, ids: np.ndarray, u2: np.ndarray) -> np.ndarray:
-        """Post-change increments of block rows ``ids`` under ``deg``, from a row of ``u2`` each."""
+    def rows(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """This chunk's pre-change increments and arrival uniforms of its block
+        rows ``ids`` (ascending), to be read only: views when ``ids`` is all of them."""
+        at = slice(None) if ids.size == self.g1.shape[0] else self.at[ids]
+        return self.g1[at], self.upois[at]
+
+    def post(self, deg: DegradationParams, ids: np.ndarray, j0: int) -> np.ndarray:
+        """Post-change increments of block rows ``ids`` under ``deg``, from chunk column j0 on."""
         d_alpha = deg.alpha2 - deg.alpha1
         shape = self.theta[ids] * ((d_alpha if d_alpha > 0.0 else deg.alpha2) * self.dt)
-        return _gammaincinv()(shape[:, None], u2) * self.scale
+        return _gammaincinv()(shape[:, None], self.u2[self.at[ids], j0:]) * self.scale
 
-    def marks(self, ids, stop) -> tuple[np.ndarray, np.ndarray]:
-        """``normals`` and ``base[ids]``, rows ``ids`` holding normals up to ``stop``-1."""
+    def marks(self, ids, first, counts) -> tuple[np.ndarray, np.ndarray]:
+        """The magnitude and jump standard normals ``(zw, zy)`` of shocks
+        first .. first+counts-1 of block rows ``ids``: shock first[q]+k of row
+        ids[q] at [q, k]. Entries past a row's count are not specified."""
+        stop = 2 * (first + counts)
         short = self.filled[ids] < stop
         if short.any():
             rows, stop = ids[short], stop[short]
@@ -333,7 +344,9 @@ class _V1Draws:
                 row[:kept] = row[lo - self.base[i]:self.filled[i] - self.base[i]]
                 row[kept:] = self.mark_gens[i].normal(size=width - kept)
                 self.base[i], self.filled[i] = lo, lo + width
-        return self.normals, self.base[ids]
+        col = (2 * first - self.base[ids])[:, None] + 2 * np.arange(counts.max())
+        col = np.minimum(col, self.normals.shape[1] - 2)  # past a row's count: any pair of the row
+        return self.normals[ids[:, None], col], self.normals[ids[:, None], col + 1]
 
 
 class _Batch:
@@ -352,16 +365,14 @@ class _Batch:
         self.pure = np.zeros(n)
         self.jumps = np.zeros(n)
 
-    def advance(self, ids: np.ndarray, k0: int, g1: np.ndarray, u2: np.ndarray,
-                upois: np.ndarray, path: np.ndarray) -> list[tuple]:
-        """Advance rows ``ids`` (alive, ascending) through steps k0 .. k0+span-1.
-
-        ``g1``, ``u2`` and ``upois`` hold the rows' draws of the chunk
-        (_V1Draws.chunk), which are only read; ``path`` is scratch of the same
-        shape as ``g1``. Returns the guard violations met, one ``(step, -rate,
-        rep_index)`` per row that stopped at its first step with ``rate*dt >
-        MAX_RATE_DT``: the earliest step, at the largest intensity, sorts first.
+    def advance(self, ids: np.ndarray, k0: int, path: np.ndarray) -> list[tuple]:
+        """Advance rows ``ids`` (alive, ascending) through steps k0 .. k0+span-1
+        of the chunk the draws hold; ``path`` is scratch of len(ids) x span.
+        Returns the guard violations met, one ``(step, -rate, rep_index)`` per
+        row that stopped at its first step with ``rate*dt > MAX_RATE_DT``: the
+        earliest step, at the largest intensity, sorts first.
         """
+        g1, upois = self.draws.rows(ids)
         m, span = g1.shape
 
         # Pure-wear path of every row at every column of the chunk. Accumulation
@@ -375,7 +386,7 @@ class _Batch:
         changed = ~np.isnan(self.out.rate_change_time[ids])
         if self.deg.alpha2 != self.deg.alpha1 and changed.any():
             rows = np.flatnonzero(changed)
-            self._repath(path, g1, u2, ids, rows, 0, self.pure[ids[rows]])
+            self._repath(path, g1, ids, rows, 0, self.pure[ids[rows]])
 
         traces = self.out.traces
         violations = []
@@ -412,7 +423,7 @@ class _Batch:
                 hard[arrived] = self._shocks(ids[rows], counts[arrived],
                                              (k0 + 1 + cols) * self.dt, ns, jm, ch)
                 nshk[rows], jumps[rows], changed[rows] = ns, jm, ch
-                self.out.n_shocks[ids[rows]] = ns  # kept current: the mark buffer reads it
+                self.out.n_shocks[ids[rows]] = ns  # kept current: the draws' marks read it
                 total[arrived] = path[rows, cols] + jumps[rows]
                 failed[arrived] = hard[arrived] | (total[arrived] >= self.deg.soft_threshold)
                 if traces is not None:  # trace row k+1 holds step k's state
@@ -422,7 +433,7 @@ class _Batch:
                 if self.deg.alpha2 != self.deg.alpha1:
                     switched = changed[rows] & ~was_changed & ~failed[arrived] & (cols + 1 < span)
                     for j in np.flatnonzero(switched):
-                        self._repath(path, g1, u2, ids, rows[j:j + 1], cols[j] + 1,
+                        self._repath(path, g1, ids, rows[j:j + 1], cols[j] + 1,
                                      path[rows[j], cols[j]])
 
             if failed.any():
@@ -451,29 +462,26 @@ class _Batch:
         """Apply each row's ``counts`` arrivals in order, as the step loop does.
 
         One pass per shock index k takes every row with more than k arrivals
-        and no fatal shock yet; a row's shock reads normals 2*nshk and
-        2*nshk+1 of its mark stream, nshk counting its shocks before it.
-        Updates ``nshk``, ``jumps`` and ``changed`` in place and returns which
-        rows took a fatal shock.
+        and no fatal shock yet. Updates ``nshk``, ``jumps`` and ``changed`` in
+        place and returns which rows took a fatal shock.
         """
-        normals, base = self.draws.marks(ids, 2 * (nshk + counts))
-        # A pair maps as numpy's normal(loc, scale) maps a standard normal:
-        # loc + scale * z. Pairs after a fatal shock are never read.
+        zw, zy = self.draws.marks(ids, nshk, counts)
+        # A shock's standard normals map as numpy's normal(loc, scale) maps
+        # one: loc + scale * z. Shocks after a fatal one are never read.
         shk = self.shk
         w_law, y_law = shk.magnitude_law, self.deg.jump_law
         hard = np.zeros(ids.size, dtype=bool)
         for k in range(counts.max()):
             q = np.flatnonzero((counts > k) & ~hard)
-            col = 2 * nshk[q] - base[q]
-            mag = w_law.mean + w_law.stdev * normals[ids[q], col]
+            mag = w_law.mean + w_law.stdev * zw[q, k]
             nshk[q] += 1
             fatal = mag > shk.hard_threshold
             hard[q[fatal]] = True
-            q, col, mag = q[~fatal], col[~fatal], mag[~fatal]
+            q, mag = q[~fatal], mag[~fatal]
             damaged = q[(mag > shk.damage_threshold) & ~changed[q]]
             changed[damaged] = True
             self.out.rate_change_time[ids[damaged]] = t_end[damaged]
-            y = y_law.mean + y_law.stdev * normals[ids[q], col + 1]
+            y = y_law.mean + y_law.stdev * zy[q, k]
             up = y > 0.0
             jumps[q[up]] += y[up]
         return hard
@@ -514,11 +522,11 @@ class _Batch:
             e[rows] = np.minimum(e[rows], first)
         return e
 
-    def _repath(self, path, g1, u2, ids, rows, j0, start) -> None:
+    def _repath(self, path, g1, ids, rows, j0, start) -> None:
         """Rebuild the pure paths of rate-changed ``rows`` from column j0 on,
         starting from ``start`` (their pure wear before column j0)."""
         deg = self.deg
-        post = self.draws.post(deg, ids[rows], u2[rows, j0:])
+        post = self.draws.post(deg, ids[rows], j0)
         if deg.alpha2 > deg.alpha1:
             # rounding as (pure + pre-change increment) + post-change increment
             inc = np.empty((rows.size, 2 * post.shape[1]))
@@ -548,14 +556,12 @@ def _run_block(param_sets: list[ModelParams], master_seed: int, rep_lo: int,
         union = np.flatnonzero(np.logical_or.reduce(live))
         if union.size == 0:
             break
-        m, span = union.size, min(_CHUNK, n_steps - k0)
-        g1, u2, upois = draws.chunk(union, span)
+        span = min(_CHUNK, n_steps - k0)
+        draws.chunk(union, span)
         for b, found, rows_alive in zip(batches, violations, live):
             ids = np.flatnonzero(rows_alive)
             if ids.size:
-                rows = slice(None) if ids.size == m else np.searchsorted(union, ids)
-                found += b.advance(ids, k0, g1[rows], u2[rows], upois[rows],
-                                   path_buf[:ids.size, :span])
+                found += b.advance(ids, k0, path_buf[:ids.size, :span])
     for b in batches:  # a set with a violation raises, so its totals are never read
         rows = np.flatnonzero(b.out.mode == 0)
         b.out.final_total[rows] = b.pure[rows] + b.jumps[rows]

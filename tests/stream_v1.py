@@ -172,6 +172,14 @@ IMPLEMENTATION = (
     Entry(KERNEL + "test_mark_buffer_floor_is_the_lowest_next_read_of_any_set",
           "a top-up keeps a row's normals from the lowest next read of any running set",
           (), "goes with _V1Draws.marks"),
+    *(Entry(KERNEL + name,
+            "the rules read draws only through _V1Draws's chunk, rows, post and marks, so "
+            "the same numbers in another layout give the same results",
+            (KERNEL + "test_only_v1_draws_consumes_a_stream",),
+            "relies on numpy's normal sampler concatenating (test_normal_draws_concatenate); "
+            "a second draws class gets the same test against its own layout")
+      for name in ("test_rules_on_a_second_layout_match_step_loop",
+                   "test_sets_on_a_second_layout_match_each_alone")),
     Entry(KERNEL + "test_one_mark_stream_per_replication",
           "a replication's mark stream is built once, whatever the number of sets", (),
           "goes with per-replication generators"),
@@ -196,7 +204,8 @@ IMPLEMENTATION = (
           "a replication's generator pickles with its state", (),
           "goes with per-replication generators"),
     Entry("tests/test_rng.py::test_normal_draws_concatenate",
-          "numpy's normal sampler keeps no state between values, which _V1Draws.marks relies on",
+          "numpy's normal sampler keeps no state between values, which _V1Draws.marks and the "
+          "second-layout tests rely on",
           (), "goes with _V1Draws.marks"),
     *(Entry(f"tests/test_kernel.py::TestGammaSampler::{name}",
             "numpy's gamma sampler, which the path refill calls",

@@ -23,6 +23,7 @@ from shockwear import (
     sweep,
 )
 from shockwear.reliability import apply_sweep_value
+from shockwear.rng import MARK_STREAM, replication_stream
 from tests import stream_v1
 from tests.conftest import make_params
 
@@ -286,10 +287,10 @@ def test_mark_buffer_width_follows_a_steps_arrivals(monkeypatch):
     seen = []
     real = simulate._V1Draws.marks
 
-    def spy(self, *args):
-        normals, base = real(self, *args)
-        seen.append((normals.shape[1], base.max()))
-        return normals, base
+    def spy(self, ids, first, counts):
+        marks = real(self, ids, first, counts)
+        seen.append((self.normals.shape[1], self.base[ids].max()))
+        return marks
 
     monkeypatch.setattr(simulate._V1Draws, "marks", spy)
     seed, lo, hi = CASES["mark_buffer_refills"][2:5]
@@ -325,17 +326,18 @@ def test_mark_buffer_floor_is_the_lowest_next_read_of_any_set(monkeypatch):
         count(self.out)[ids] = nshk
         return hard
 
-    def spy_read(self, ids, stop):
+    def spy_read(self, ids, first, counts):
+        stop = 2 * (first + counts)
         rows = ids[self.filled[ids] < stop]
         next_reads = np.array([np.where(out.mode[rows] == 0, 2 * count(out)[rows], stop.max())
                                for out in self.outs])
-        normals, base = real_read(self, ids, stop)
+        marks = real_read(self, ids, first, counts)
         lowest = next_reads.min(axis=0)
         assert np.array_equal(self.base[rows], lowest)
         mine = 2 * count(reader[0])[rows]
         cases.append((np.any(lowest < mine),
                        np.any((lowest == mine) & (mine > 2 * chunk_start[reader[0]][rows]))))
-        return normals, base
+        return marks
 
     monkeypatch.setattr(simulate._Batch, "advance", spy_advance)
     monkeypatch.setattr(simulate._Batch, "_shocks", spy_shocks)
@@ -390,6 +392,51 @@ def test_only_v1_draws_consumes_a_stream():
     assert len(draws) == 1
     assert named(draws) == names | {"." + m for m in methods}  # the check sees them
     assert named(rest) == set()
+
+
+class _PairDraws(simulate._V1Draws):
+    """v1's numbers in another layout: each row's marks are drawn into a list
+    of its own from its first shock, one (magnitude, jump) pair of normals at
+    a time, with no shared buffer, floor or width, and a chunk's rows are
+    served as copies. The same numbers give the same bytes (numpy's normal
+    sampler concatenates), so the rules must not depend on the layout."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.pairs = {}  # block row -> (its mark stream, its pairs drawn so far)
+
+    def rows(self, ids):
+        return tuple(draws.copy() for draws in super().rows(ids))
+
+    def marks(self, ids, first, counts):
+        zw = np.full((ids.size, counts.max()), np.nan)
+        zy = zw.copy()
+        for q, (i, lo, n) in enumerate(zip(ids.tolist(), first.tolist(), counts.tolist())):
+            if i not in self.pairs:
+                self.pairs[i] = (replication_stream(self.master_seed, self.rep_lo + i,
+                                                    MARK_STREAM), [])
+            gen, pairs = self.pairs[i]
+            while len(pairs) < lo + n:
+                pairs.append(gen.normal(size=2))
+            zw[q, :n], zy[q, :n] = np.transpose(pairs[lo:lo + n])
+        return zw, zy
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_rules_on_a_second_layout_match_step_loop(case, monkeypatch):
+    monkeypatch.setattr(simulate, "_V1Draws", _PairDraws)
+    _, horizon, seed, lo, hi, traces = CASES[case]
+    new = simulate.simulate_sets([_params(case)], seed, lo, hi, traces, rows=7)[0]
+    assert_identical(new, _reference(case))
+
+
+@pytest.mark.parametrize("case", list(SWEEPS))
+def test_sets_on_a_second_layout_match_each_alone(case, monkeypatch):
+    sets = _sweep_sets(case)[3]
+    alone = [simulate.simulate_sets([p], 7, 3, 160)[0] for p in sets]
+    monkeypatch.setattr(simulate, "_V1Draws", _PairDraws)
+    for res, res_alone in zip(simulate.simulate_sets(sets, 7, 3, 160), alone):
+        assert_identical(res, res_alone)
 
 
 @pytest.mark.parametrize("case", list(SWEEPS))

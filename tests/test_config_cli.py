@@ -266,6 +266,20 @@ class TestCurveCommand:
             "more than can be allocated"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("verb", [["curve"], ["sweep", "gamma", "0,0.01"]],
+                             ids=["curve", "sweep"])
+    def test_unallocatable_grid_is_a_config_error(self, tmp_path, capsys, verb):
+        # 8e18 bytes is more than any address space maps, so the allocation is
+        # refused at once, whatever the overcommit setting, and touches no page
+        out = tmp_path / "c.csv"
+        cfg = write_config(tmp_path, valve_doc(**{"output.path": str(out),
+                                                  "run.grid.points": 10**18}))
+        assert main([*verb, "--config", cfg]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: run.grid.points=1000000000000000000 needs 8000000000000000000 bytes "
+            "of grid times, more than can be allocated"]
+        assert not out.exists()
+
     def test_guard_error_exit_code(self, tmp_path):
         doc = valve_doc(**{"model.lambda0": 50.0})
         cfg = write_config(tmp_path, doc)
