@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import MODEL_KEYS
-from .errors import UnsupportedConfigError
+from .errors import IntegrationError, UnsupportedConfigError
 from .kernel import (
     GammaLaw,
     NormalLaw,
@@ -165,6 +165,7 @@ def analytic_reliability(params: ModelParams, t: float) -> float:
     nothing. Coupled configurations are refused rather than approximated.
     """
     _require_decoupled(params)
+    t = float(t)  # a numpy time would carry numpy's overflow warnings into the sum
     if t < 0.0 or not math.isfinite(t):
         raise ValueError(f"t must be finite and >= 0, got {t}")
     if t == 0.0:
@@ -185,7 +186,10 @@ def analytic_reliability(params: ModelParams, t: float) -> float:
         if m == 0:
             wear_ok = gamma_cdf(h, glaw)
         else:
-            wear_ok = _wear_below(h, glaw, m, deg.jump_law)
+            try:
+                wear_ok = _wear_below(h, glaw, m, deg.jump_law)
+            except OverflowError as exc:
+                raise IntegrationError(f"the wear density of {glaw} overflows: {exc}") from exc
             tiny_run = tiny_run + 1 if wear_ok < 1e-13 else 0
         total += (f_w**m) * p_m * wear_ok
         cum_pmf += p_m

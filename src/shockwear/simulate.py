@@ -41,11 +41,7 @@ and n_shocks from these, with no per-step Python objects.
 
 from __future__ import annotations
 
-import functools
-import importlib.machinery
-import importlib.util
 import math
-import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Literal
@@ -54,6 +50,7 @@ import numpy as np
 
 from .degradation import DegradationParams
 from .errors import StepSizeError
+from .kernel import _scipy_ufunc
 from .rng import MARK_STREAM, PATH_STREAM, replication_stream
 from .shocks import MAX_RATE_DT, ShockParams, poisson_counts
 
@@ -172,35 +169,6 @@ def step_count(horizon: float, dt: float) -> int:
     return n
 
 
-@functools.cache
-def _gammaincinv():
-    """scipy's ``gammaincinv`` ufunc, the inverse gamma CDF of the stream
-    contract, loaded on first use (a theta law or a rate change).
-
-    It is loaded from scipy's compiled module file alone: importing the
-    ``scipy.special`` package costs about 0.3 s and 19 MB (mostly its
-    array-API layer), the module about 2 ms and 1 MB, so a run that meets a
-    rate change takes about as long as one that does not. The ufunc is
-    scipy's own, so its values are too. Where that file is missing (another
-    scipy layout), the package is imported instead.
-    """
-    spec = importlib.util.find_spec("scipy")  # finds the package, does not import it
-    folders = spec.submodule_search_locations if spec is not None else None
-    for folder in folders or ():
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(folder, "special", "_special_ufuncs" + suffix)
-            if os.path.isfile(path):
-                try:
-                    module_spec = importlib.util.spec_from_file_location("_special_ufuncs", path)
-                    module = importlib.util.module_from_spec(module_spec)
-                    module_spec.loader.exec_module(module)
-                    return module.gammaincinv
-                except (ImportError, AttributeError):
-                    pass
-    from scipy.special import gammaincinv
-    return gammaincinv
-
-
 class BatchResult:
     """Plain arrays for a contiguous range of replications, and their traces
     if asked for. A replication's trace is kept as its pure path, one array
@@ -251,10 +219,11 @@ class _V1Draws:
                      arrival counts.
       marks stream : per shock s, the (magnitude, jump) pair of normals 2s and 2s+1.
 
-    The post-change extra increment is materialized from its uniform by the
-    inverse gamma CDF with shape theta*(alpha2-alpha1)*dt, so a changed-rate
-    increment is the pre-change increment plus an independent nonnegative term;
-    when the rate falls, the increment at shape theta*alpha2*dt replaces it.
+    The post-change extra increment is materialized from its uniform by
+    scipy's inverse gamma CDF (gammaincinv, from kernel._scipy_ufunc) with shape
+    theta*(alpha2-alpha1)*dt, so a changed-rate increment is the pre-change
+    increment plus an independent nonnegative term; when the rate falls, the
+    increment at shape theta*alpha2*dt replaces it.
     Uniform blocks are drawn whether or not they are used; consumption therefore
     never depends on the trajectory, and two runs with the same master seed see
     identical randomness even when their parameters differ.
@@ -283,7 +252,7 @@ class _V1Draws:
         self.path_gens = [replication_stream(master_seed, rep_lo + j, PATH_STREAM)
                           for j in range(n)]
         self.theta = np.ones(n) if tl is None else (
-            _gammaincinv()(tl.shape, [g.random() for g in self.path_gens]) / tl.rate)
+            _scipy_ufunc("gammaincinv")(tl.shape, [g.random() for g in self.path_gens]) / tl.rate)
         self.shape_pre, self.scale = self.theta * (alpha1 * num.dt), 1.0 / beta
         cols = min(step_count(num.horizon, num.dt), _CHUNK)
         self.g1_buf, self.u_buf = np.empty((n, cols)), np.empty((n, 2 * cols))
@@ -315,7 +284,7 @@ class _V1Draws:
         """Post-change increments of block rows ``ids`` under ``deg``, from chunk column j0 on."""
         d_alpha = deg.alpha2 - deg.alpha1
         shape = self.theta[ids] * ((d_alpha if d_alpha > 0.0 else deg.alpha2) * self.dt)
-        return _gammaincinv()(shape[:, None], self.u2[self.at[ids], j0:]) * self.scale
+        return _scipy_ufunc("gammaincinv")(shape[:, None], self.u2[self.at[ids], j0:]) * self.scale
 
     def marks(self, ids, first, counts) -> tuple[np.ndarray, np.ndarray]:
         """The magnitude and jump standard normals ``(zw, zy)`` of shocks

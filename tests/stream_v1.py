@@ -184,9 +184,10 @@ IMPLEMENTATION = (
           "a replication's mark stream is built once, whatever the number of sets", (),
           "goes with per-replication generators"),
     *(Entry(f"tests/test_simulator.py::TestStreamContract::{name}",
-            "_gammaincinv loads scipy's inverse gamma CDF without scipy.special",
+            "kernel._scipy_ufunc loads scipy's inverse gamma CDF without scipy.special",
             (CONFIG_CLI + "TestEntryPoint::test_scipy_stays_out",),
-            "goes with _gammaincinv")
+            "the engine's gammaincinv goes with v1; the loader stays while gamma_cdf uses "
+            "its gammainc")
       for name in ("test_inverse_cdf_is_scipys", "test_inverse_cdf_falls_back_to_the_package")),
     *(Entry(f"tests/test_rng.py::{name}",
             "replication_stream equals SeedSequence-seeded PCG64",

@@ -370,9 +370,9 @@ def test_only_v1_draws_consumes_a_stream():
     # _V1Draws is the engine's one source of randomness: no other code in
     # simulate.py names a stream, the inverse gamma CDF or a generator's draw
     # methods, so a second stream contract is a second draws class and no rule
-    # changes. (The import binds the stream names as module globals, which
-    # perfbench's tracer wraps; _gammaincinv's own definition names nothing.)
-    names = {"replication_stream", "_gammaincinv", "PATH_STREAM", "MARK_STREAM"}
+    # changes. (The imports that bind the stream names, which perfbench's
+    # tracer wraps, and kernel's _scipy_ufunc as module globals are not uses.)
+    names = {"replication_stream", "_scipy_ufunc", "PATH_STREAM", "MARK_STREAM"}
     methods = {"standard_gamma", "random", "normal"}
 
     def named(nodes):

@@ -510,6 +510,24 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert err == "numeric error: quadrature did not converge\n"
 
+    @pytest.mark.parametrize("model", [
+        {"H": 1e200, "beta": 1e200},
+        {"alpha1": 1.25e299, "alpha2": 1.25e299, "H": 1e300, "beta": 1.0},
+    ], ids=["rate_times_H_overflows", "wear_density_overflows"])
+    def test_overflow_is_numeric_error(self, tmp_path, model):
+        # beta*H is inf in the m = 0 term, where a hand-rolled gamma CDF once
+        # never returned; the wear density's exp overflows in the quadrature.
+        # main runs in a subprocess, so that a hang fails this test instead of
+        # stalling the suite; a numpy overflow warning would be a second line.
+        doc = json.loads((CONFIGS / "decoupled.json").read_text())
+        doc["model"].update(model)
+        proc = subprocess.run(
+            [sys.executable, "-m", "shockwear.cli", "validate",
+             "--config", write_config(tmp_path, doc), "--reps", "200"],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("numeric error: ") and proc.stderr.count("\n") == 1
+
     def test_short_horizon_needs_times(self, tmp_path, capsys):
         # no default check time (1, 2, 4, 8) lies within a horizon of 0.5
         doc = json.loads((CONFIGS / "decoupled.json").read_text())
@@ -734,9 +752,10 @@ class TestEntryPoint:
         assert out.exists()
 
     def test_scipy_stays_out(self, tmp_path):
-        # scipy.special is most of the start-up time. The inverse gamma CDF
-        # that theta laws and rate changes need is loaded without it; the last
-        # two runs use it.
+        # scipy.special is most of the start-up time. The gamma CDF of
+        # validate's oracle, and the inverse gamma CDF that theta laws and rate
+        # changes need, are loaded without it; the first and the last two runs
+        # use them.
         theta = write_config(tmp_path, valve_doc(**{"run.n_reps": 200,
                                                     "model.theta": {"shape": 20.0, "rate": 20.0}}))
         aggressive = write_config(tmp_path, aggressive_doc(), name="aggressive.json")

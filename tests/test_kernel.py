@@ -1,10 +1,12 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy import special
 
-from shockwear import GammaLaw, NormalLaw
+from shockwear import GammaLaw, NormalLaw, kernel
 from shockwear.kernel import facilitation_pmf, gamma_cdf, iid_sum_normal, normal_cdf
 from shockwear.quadrature import integrate
 from tests.conftest import facilitation_mass, gamma_density, normal_density
@@ -65,6 +67,25 @@ class TestGammaCdf:
     def test_domain_errors(self, x):
         with pytest.raises(ValueError):
             gamma_cdf(x, GammaLaw(1.0, 1.0))
+
+    def test_huge_shape_at_its_mean(self):
+        # rate*x + 1 - shape rounds to 0 here; half the mass lies below the mean
+        assert gamma_cdf(1e300, GammaLaw(1e300, 1.0)) == special.gammainc(1e300, 1e300) == 0.5
+
+    def test_overflowing_rate_times_x_returns(self):
+        # rate*x is inf; in a subprocess, so that a CDF that never returns
+        # fails this test instead of stalling the suite
+        script = ("from shockwear.kernel import GammaLaw, gamma_cdf\n"
+                  "print(gamma_cdf(1e308, GammaLaw(1.0, 10.0)))")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "1.0\n"
+
+    def test_one_module_load_serves_both_names(self):
+        for name in ("gammainc", "gammaincinv"):
+            assert kernel._scipy_ufunc(name) is getattr(kernel._special_ufuncs(), name)
+        assert kernel._special_ufuncs.cache_info().misses == 1
 
 
 class TestNormalCdf:
@@ -240,20 +261,21 @@ class TestFacilitationPmf:
 
 
 class TestAgainstScipy:
-    """The kernel's special functions, computed without scipy, against scipy's."""
+    """The kernel's special functions against scipy.special's: the gamma CDF
+    is scipy's own ufunc, the normal CDF and the count law use the math module."""
 
     @pytest.mark.parametrize("shape", np.geomspace(1e-3, 1e3, 19))
     def test_gamma_cdf(self, shape):
-        # values of x on both sides of the series/continued-fraction switch at
-        # rate*x = shape + 1, out to the far tails. At shape 1e3, a prefactor
-        # built on lgamma alone errs by 6e-13, so 1e-13 also checks the
-        # Stirling form used from shape 10 up.
+        # the ufunc loaded from scipy's module file gives scipy.special's bits,
+        # as a Python float, from z = 1e-6 * (shape + 1) out to the far tail
         law = GammaLaw(shape, 1.2)
         fractions = np.concatenate([np.geomspace(1e-6, 0.999, 25), [1.0],
                                     np.linspace(1.001, 3.0, 25), [5.0, 20.0]])
         for z in sorted(set(fractions * (shape + 1.0)) | {shape, shape + math.sqrt(shape)}):
             x = z / law.rate
-            assert gamma_cdf(x, law) == pytest.approx(special.gammainc(shape, z), abs=1e-13), x
+            got = gamma_cdf(x, law)
+            assert type(got) is float
+            assert got == special.gammainc(shape, law.rate * x), x
 
     def test_normal_cdf(self):
         law = NormalLaw(3.0, 2.0)

@@ -15,7 +15,7 @@ from shockwear import (
     simulate_replication,
     step_count,
 )
-from shockwear import simulate
+from shockwear import kernel, simulate
 from shockwear.kernel import facilitation_pmf, gamma_cdf, normal_cdf
 from tests.conftest import make_params
 from tests.stream_v1 import V1
@@ -337,11 +337,14 @@ class TestStreamContract:
         shape = np.concatenate([rng.uniform(1e-4, 1.0, 5000), rng.uniform(1.0, 50.0, 5000)])
         u = rng.random(shape.size)
         u[:3] = 0.0, 0.5, 0.95  # zero, and both sides of the p > 0.9 branch
-        got = simulate._gammaincinv()(shape, u)
+        got = kernel._scipy_ufunc("gammaincinv")(shape, u)
         assert got.tobytes() == gammaincinv(shape, u).tobytes()
 
     def test_inverse_cdf_falls_back_to_the_package(self, monkeypatch):
-        from scipy.special import gammaincinv
+        # without scipy's module file, each name comes from the package
+        from scipy import special
 
         monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
-        assert simulate._gammaincinv.__wrapped__() is gammaincinv
+        monkeypatch.setattr(kernel, "_special_ufuncs", kernel._special_ufuncs.__wrapped__)
+        for name in ("gammainc", "gammaincinv"):
+            assert kernel._scipy_ufunc(name) is getattr(special, name)
