@@ -4,6 +4,7 @@ decoupled special case, and paired-seed parameter sweeps."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -127,7 +128,10 @@ def _wear_below(h: float, wear: GammaLaw, m: int, jump_law: NormalLaw) -> float:
     the x**(a-1) endpoint into the bounded integrand
     beta**a exp(-beta v**(1/a)) / Gamma(a+1). Wear x above h - (E[S] - 10 sd(S))
     is skipped: there S < h - x needs a jump sum 10 standard deviations below
-    its mean.
+    its mean. For a >= 1 only wear within 40 standard deviations of the mode
+    is integrated, and the density is exp of a sum of log terms; where their
+    rounding alone could exceed the quadrature's tolerance (shapes from about
+    2e5 up), IntegrationError is raised rather than a value.
     """
     jumps = iid_sum_normal(m, jump_law)
     x_hi = h - max(0.0, jumps.mean - 10.0 * jumps.stdev)
@@ -145,14 +149,27 @@ def _wear_below(h: float, wear: GammaLaw, m: int, jump_law: NormalLaw) -> float:
 
         return integrate(integrand, 0.0, x_hi ** a, tol=_QUAD_TOL)
 
+    # The mass lies within 40 standard deviations of the mode, and a peak
+    # narrower than the quadrature's first panels could fall between their samples.
+    spread = 40.0 * math.sqrt(a)
+    lo, hi = max(0.0, (a - 1.0 - spread) / beta), min(x_hi, (a - 1.0 + spread) / beta)
     log_c = a * math.log(beta) - math.lgamma(a)
+    # The log-density adds terms of this size whose sum is small where the
+    # density lives; their rounding is that much relative error in the density.
+    # (Where the spread is below one ulp of the mode, lo == hi and they are huge.)
+    terms = abs(log_c) + (a - 1.0) * abs(math.log(hi)) + beta * hi
+    if terms * sys.float_info.epsilon > _QUAD_TOL:
+        raise IntegrationError(f"the wear density of {wear} loses its digits: its log terms "
+                               f"reach {terms:.3g}, whose rounding exceeds tol={_QUAD_TOL:g}")
+    if lo >= hi:
+        return 0.0
     density_at_0 = beta if a == 1.0 else 0.0
 
     def integrand(x):
         density = math.exp(log_c + (a - 1.0) * math.log(x) - beta * x) if x > 0.0 else density_at_0
         return density * (normal_cdf(h - x, jumps) - p_negative)
 
-    return integrate(integrand, 0.0, x_hi, tol=_QUAD_TOL)
+    return integrate(integrand, lo, hi, tol=_QUAD_TOL)
 
 
 def analytic_reliability(params: ModelParams, t: float) -> float:

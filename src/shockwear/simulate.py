@@ -9,17 +9,20 @@ and re-check soft failure after the jumps. Failure times are reported at the
 end-of-step clock k*dt; Numerics.steps_ended says which steps a time has seen.
 
 The step grid is the model's: dt and the step count come from
-ModelParams.numerics alone. simulate_sets, the engine's one entry, is one loop
-over blocks of consecutive replications in index order; a block builds its
-streams and buffers, runs through every step and is released before the next.
-Memory grows with the block size and with the mark buffer's width; results
-depend on neither. It runs one or several parameter sets (a sweep's values)
-side by side: a block owns every draw (_V1Draws, which states stream contract
-v1), each chunk's refill is drawn once for the replications still alive under
-any set, and each set applies its own rules to its own rows of it. The path
-draws depend only on theta_law, alpha1, beta and numerics (_V1Draws.key), so
-sets that share these read exactly the draws each would read alone, and sets
-that do not are refused.
+ModelParams.numerics alone. simulate_sets, the engine's one entry, runs blocks
+of consecutive replications; a block builds its streams and buffers, runs
+through every step and is released. A block is also the unit of work handed
+to a worker: a run of more than one block without traces runs its blocks in
+min(usable CPUs, blocks) forked processes and gathers them in block order,
+and every other run loops over them in this process. Memory grows with the
+block size, per worker, and with the mark buffer's width; results depend on
+neither, nor on the worker count. It runs one or several parameter sets (a
+sweep's values) side by side: a block owns every draw (_V1Draws, which states
+stream contract v1), each chunk's refill is drawn once for the replications
+still alive under any set, and each set applies its own rules to its own rows
+of it. The path draws depend only on theta_law, alpha1, beta and numerics
+(_V1Draws.key), so sets that share these read exactly the draws each would
+read alone, and sets that do not are refused.
 run_replications, simulate_paths and simulate_replication run one set; the
 first two take horizon and dt only to refuse a grid that is not the model's.
 Each replication advances a chunk of _CHUNK steps at a time: one sequential
@@ -41,7 +44,9 @@ and n_shocks from these, with no per-step Python objects.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Literal
@@ -186,12 +191,12 @@ class BatchResult:
         self.final_total = np.zeros(n)
         self.traces = [([], []) for _ in range(n)] if want_traces else None
 
-    def view(self, lo: int, hi: int) -> BatchResult:
-        """Entries lo .. hi-1; writes to the view, and to its traces, land here."""
-        part = BatchResult.__new__(BatchResult)
+    def put(self, lo: int, part: BatchResult) -> None:
+        """Write ``part``'s entries, and its traces, at lo .. lo+len(part)-1."""
+        hi = lo + part.failure_time.size
         for name in self.__slots__:
-            setattr(part, name, None if getattr(self, name) is None else getattr(self, name)[lo:hi])
-        return part
+            if getattr(self, name) is not None:
+                getattr(self, name)[lo:hi] = getattr(part, name)
 
     def trace(self, j: int, numerics: Numerics) -> Trace:
         """Replication j's trace on the step grid of ``numerics``."""
@@ -537,6 +542,40 @@ def _run_block(param_sets: list[ModelParams], master_seed: int, rep_lo: int,
     return violations
 
 
+def _block(param_sets: list[ModelParams], master_seed: int, want_traces: bool,
+           span: tuple[int, int]) -> tuple[list[BatchResult], list[list[tuple]]]:
+    """Replications span[0] .. span[1]-1 under every set, in results of their
+    own: what _run_block writes, and each set's guard violations."""
+    lo, hi = span
+    parts = [BatchResult(hi - lo, want_traces) for _ in param_sets]
+    return parts, _run_block(param_sets, master_seed, lo, parts)
+
+
+def _workers(n_blocks: int) -> int:
+    """Worker processes for a run of n_blocks: min(usable CPUs, n_blocks). The
+    CPUs are this process's affinity set, so taskset limits them."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(cpus or 1, n_blocks)
+
+
+def _pool(n_blocks: int):
+    """A fork-context pool of _workers(n_blocks) processes, or None where the
+    blocks run in this process: one worker, a daemonic caller (a pool cannot
+    start its children), no fork start method, or a caller running other
+    threads (a child gets only the forking thread, and a lock another thread
+    held stays held in it). Forked workers start with every module loaded; a
+    spawned one would import numpy and the package again."""
+    import multiprocessing  # here, so that no run of one block pays its import
+    import threading
+
+    workers = _workers(n_blocks)
+    if (workers < 2 or multiprocessing.current_process().daemon
+            or "fork" not in multiprocessing.get_all_start_methods()
+            or threading.active_count() > 1):
+        return None
+    return multiprocessing.get_context("fork").Pool(workers)
+
+
 def simulate_sets(param_sets: list[ModelParams], master_seed: int, rep_lo: int, rep_hi: int,
                   want_traces: bool = False, rows: int = _ROWS) -> list[BatchResult]:
     """Replications rep_lo .. rep_hi-1 under each parameter set, in blocks of
@@ -544,7 +583,10 @@ def simulate_sets(param_sets: list[ModelParams], master_seed: int, rep_lo: int, 
 
     The sets must share theta_law, alpha1, beta and numerics (ValueError
     otherwise). Each result, and the StepSizeError of the first set that has
-    one, is bit-identical to running that set alone.
+    one, is bit-identical to running that set alone. A run of more than one
+    block without traces hands its blocks to forked workers (_pool) and
+    gathers them in block order; the bytes are those of one process, and no
+    worker outlives the call.
     """
     n = rep_hi - rep_lo
     if n < 1:
@@ -559,11 +601,20 @@ def simulate_sets(param_sets: list[ModelParams], master_seed: int, rep_lo: int, 
     except MemoryError:  # 33 bytes per replication per set, allocated before any work
         raise ValueError(f"n_reps={n} needs {33 * n * len(param_sets)} bytes of results, "
                          "more than can be allocated") from None
+    spans = [(lo, min(lo + rows, rep_hi)) for lo in range(rep_lo, rep_hi, rows)]
+    job = functools.partial(_block, param_sets, master_seed, want_traces)
+    pool = None if want_traces or len(spans) == 1 else _pool(len(spans))
     violations = [[] for _ in param_sets]
-    for lo in range(rep_lo, rep_hi, rows):
-        views = [out.view(lo - rep_lo, min(lo + rows, rep_hi) - rep_lo) for out in outs]
-        for found, block in zip(violations, _run_block(param_sets, master_seed, lo, views)):
-            found += block
+    try:
+        blocks = map(job, spans) if pool is None else pool.imap(job, spans)
+        for (lo, _), (parts, found_block) in zip(spans, blocks):
+            for out, part, found, block in zip(outs, parts, violations, found_block):
+                out.put(lo - rep_lo, part)
+                found += block
+    finally:
+        if pool is not None:
+            pool.terminate()
+            pool.join()
     dt = param_sets[0].numerics.dt
     for found in violations:
         if found:  # the step loop's error: its earliest violating step, at the largest intensity
@@ -622,8 +673,9 @@ def run_replications(params: ModelParams, horizon: float, dt: float, master_seed
     """Failure times and modes for n_reps replications.
 
     ``horizon`` and ``dt`` must be those of ``params.numerics`` (ValueError
-    otherwise). ``batch_size`` replications advance at a time: it bounds the
-    rows of the per-block refill and mark buffers, not the results' 33 bytes
+    otherwise). ``batch_size`` replications advance at a time, and each block
+    of them is the unit of work handed to a worker process: it bounds the
+    rows of each worker's refill and mark buffers, not the results' 33 bytes
     per replication, and results and guard errors do not depend on it. Returns
     (failure_time, mode); survivors carry failure_time = inf, mode 0.
     """

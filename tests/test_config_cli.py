@@ -528,6 +528,16 @@ class TestValidateCommand:
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr.startswith("numeric error: ") and proc.stderr.count("\n") == 1
 
+    def test_huge_wear_shape_is_numeric_error(self, tmp_path, capsys):
+        # alpha1*t = H = 1e17: the wear density's log terms reach 8e18, whose
+        # rounding leaves it no digit; the oracle once printed the m = 0 term
+        # alone as analytic=0.183940
+        doc = json.loads((CONFIGS / "decoupled.json").read_text())
+        doc["model"].update(alpha1=1e17, alpha2=1e17, H=1e17, beta=1.0)
+        assert main(["validate", "--config", write_config(tmp_path, doc), "--reps", "200"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: the wear density") and err.count("\n") == 1
+
     def test_short_horizon_needs_times(self, tmp_path, capsys):
         # no default check time (1, 2, 4, 8) lies within a horizon of 0.5
         doc = json.loads((CONFIGS / "decoupled.json").read_text())

@@ -157,6 +157,15 @@ class TestAnalytic:
         want = self._quad_wear_term(5.0, 1.2, 1.2, 12, jumps)
         assert _wear_below(5.0, GammaLaw(1.2, 1.2), 12, jumps) == pytest.approx(want, abs=1e-9)
 
+    @pytest.mark.parametrize("a", [1e4, 1e5])
+    def test_narrow_wear_peak_is_found(self, a):
+        # at h = a the wear mass (sd sqrt(a)) sits far inside a single first
+        # panel of [0, h]; at a = 1e5 every first sample once missed it and
+        # the term read 1e-21 for about 0.5
+        jumps = NormalLaw(0.5, 0.1)
+        want = self._quad_wear_term(a, a, 1.0, 1, jumps)
+        assert _wear_below(a, GammaLaw(a, 1.0), 1, jumps) == pytest.approx(want, abs=1e-9)
+
     def test_monotone_in_time(self):
         p = decoupled()
         vals = [analytic_reliability(p, t) for t in (0.0, 1.0, 2.0, 4.0, 8.0)]
