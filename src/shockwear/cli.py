@@ -3,8 +3,9 @@
 Verbs: curve (survival curve CSV), sweep (one curve per parameter value,
 long-format CSV), validate (Monte Carlo vs the decoupled-case analytic
 oracle), paths (step-grid trajectory export). All output is deterministic
-given the config and seed. Exit codes: 0 success, 2 config error, 3 numeric
-guard violation or oracle quadrature failure, 4 validation failure.
+given the config and seed. Exit codes: 0 success, 1 a worker process that
+ended abruptly, 2 config error, 3 numeric guard violation or oracle
+quadrature failure, 4 validation failure.
 """
 
 from __future__ import annotations
@@ -294,6 +295,14 @@ def main(argv=None) -> int:
         except IntegrationError as exc:
             print(f"numeric error: {exc}", file=sys.stderr)
             return 3
+        except RuntimeError as exc:
+            # a worker process that ended abruptly: BrokenProcessPool, whose
+            # module only a run with workers has loaded
+            from concurrent.futures import BrokenExecutor
+            if not isinstance(exc, BrokenExecutor):
+                raise
+            print(f"worker error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -15,14 +15,16 @@ through every step and is released. A block is also the unit of work handed
 to a worker: a run of more than one block without traces runs its blocks in
 min(usable CPUs, blocks) forked processes and gathers them in block order,
 and every other run loops over them in this process. Memory grows with the
-block size, per worker, and with the mark buffer's width; results depend on
-neither, nor on the worker count. It runs one or several parameter sets (a
-sweep's values) side by side: a block owns every draw (_V1Draws, which states
-stream contract v1), each chunk's refill is drawn once for the replications
-still alive under any set, and each set applies its own rules to its own rows
-of it. The path draws depend only on theta_law, alpha1, beta and numerics
-(_V1Draws.key), so sets that share these read exactly the draws each would
-read alone, and sets that do not are refused.
+block size, per worker, and with the mark buffer: per row, 16 to 32 bytes per
+shock of the block's most-shocked replication, and at least 8*_MARKS bytes;
+results depend on neither, nor on the worker count. It runs one or several
+parameter sets (a sweep's values) side by side: a block owns every draw
+(_V1Draws, which states stream contract v1), each chunk's refill is drawn
+once for the replications still alive under any set, and each set applies
+its own rules to its own rows of it. The path draws depend only on
+theta_law, alpha1, beta and numerics (_V1Draws.key), so sets that share
+these read exactly the draws each would read alone, and sets that do not
+are refused.
 run_replications, simulate_paths and simulate_replication run one set; the
 first two take horizon and dt only to refuse a grid that is not the model's.
 Each replication advances a chunk of _CHUNK steps at a time: one sequential
@@ -233,14 +235,15 @@ class _V1Draws:
     never depends on the trajectory, and two runs with the same master seed see
     identical randomness even when their parameters differ.
 
-    Row i of ``normals`` holds normals base[i] .. filled[i]-1 of block row i's
-    mark stream, from the lowest next read (twice the shock count, which each
-    set writes at every arrival) of any set still running it; a read past
-    ``filled`` drops those below and tops the row up. The width, at least
-    doubled when a read does not fit, follows a step's arrivals and the gap
-    between sets' next reads, as a chunk runs set by set. It is not in the
-    contract: numpy's normal sampler keeps no state between values, so
-    normal(size=a) then normal(size=b) draws normal(size=a+b).
+    The mark buffer only grows: row i of ``normals`` holds normals 0 ..
+    filled[i]-1 of block row i's mark stream until the block ends, so shock s
+    of the row is at columns 2s and 2s+1 whichever set reads it. A read past
+    ``filled[i]`` draws the rest of the buffer's width from the row's stream;
+    a read past the width first widens the buffer to max(2*width, the read's
+    end). The width, at least twice the most shocks any replication of the
+    block takes, is not in the contract: numpy's normal sampler keeps no state
+    between values, so normal(size=a) then normal(size=b) draws
+    normal(size=a+b).
     """
 
     @staticmethod
@@ -249,11 +252,9 @@ class _V1Draws:
         deg = params.degradation
         return deg.theta_law, deg.alpha1, deg.beta, params.numerics
 
-    def __init__(self, params: ModelParams, master_seed: int, rep_lo: int,
-                 outs: list[BatchResult]):
+    def __init__(self, params: ModelParams, master_seed: int, rep_lo: int, n: int):
         tl, alpha1, beta, num = self.key(params)
-        n = outs[0].failure_time.size
-        self.master_seed, self.rep_lo, self.outs, self.dt = master_seed, rep_lo, outs, num.dt
+        self.master_seed, self.rep_lo, self.dt = master_seed, rep_lo, num.dt
         self.path_gens = [replication_stream(master_seed, rep_lo + j, PATH_STREAM)
                           for j in range(n)]
         self.theta = np.ones(n) if tl is None else (
@@ -262,7 +263,7 @@ class _V1Draws:
         cols = min(step_count(num.horizon, num.dt), _CHUNK)
         self.g1_buf, self.u_buf = np.empty((n, cols)), np.empty((n, 2 * cols))
         self.normals = np.empty((n, _MARKS))
-        self.base, self.filled = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
+        self.filled = np.zeros(n, dtype=np.intp)
         self.mark_gens = {}  # block row -> its mark stream
         self.at = np.zeros(n, dtype=np.intp)  # block row -> its row of the chunk
 
@@ -296,29 +297,20 @@ class _V1Draws:
         first .. first+counts-1 of block rows ``ids``: shock first[q]+k of row
         ids[q] at [q, k]. Entries past a row's count are not specified."""
         stop = 2 * (first + counts)
-        short = self.filled[ids] < stop
-        if short.any():
-            rows, stop = ids[short], stop[short]
-            floor = np.min([np.where(out.mode[rows] == 0, 2 * out.n_shocks[rows], stop)
-                            for out in self.outs], axis=0)
+        rows = ids[self.filled[ids] < stop]
+        if rows.size:
             width = self.normals.shape[1]
-            if (stop - floor).max() > width:
-                more = max(width, int((stop - floor).max()) - width)
+            if stop.max() > width:
+                more = max(width, int(stop.max()) - width)
                 self.normals = np.hstack([self.normals, np.empty((len(self.filled), more))])
                 width += more
-            new = self.filled[rows] == 0
-            if new.any():
-                gens = [replication_stream(self.master_seed, self.rep_lo + i, MARK_STREAM)
-                        for i in rows[new].tolist()]
-                self.normals[rows[new]] = [g.normal(size=width) for g in gens]
-                self.filled[rows[new]] = width
-                self.mark_gens.update(zip(rows[new].tolist(), gens))
-            for i, lo in zip(rows[~new].tolist(), floor[~new].tolist()):  # rare: top-ups
-                row, kept = self.normals[i], self.filled[i] - lo
-                row[:kept] = row[lo - self.base[i]:self.filled[i] - self.base[i]]
-                row[kept:] = self.mark_gens[i].normal(size=width - kept)
-                self.base[i], self.filled[i] = lo, lo + width
-        col = (2 * first - self.base[ids])[:, None] + 2 * np.arange(counts.max())
+            for i, lo in zip(rows.tolist(), self.filled[rows].tolist()):
+                if i not in self.mark_gens:
+                    self.mark_gens[i] = replication_stream(self.master_seed, self.rep_lo + i,
+                                                           MARK_STREAM)
+                self.normals[i, lo:] = self.mark_gens[i].normal(size=width - lo)
+            self.filled[rows] = width
+        col = (2 * first)[:, None] + 2 * np.arange(counts.max())
         col = np.minimum(col, self.normals.shape[1] - 2)  # past a row's count: any pair of the row
         return self.normals[ids[:, None], col], self.normals[ids[:, None], col + 1]
 
@@ -327,7 +319,7 @@ class _Batch:
     """One parameter set's rows of one block, advanced a chunk at a time on its
     block's draws under the rules of ``deg`` and ``shk``. A set owns only its
     row state, by block-local id: pure and jumps, and ``out``, which holds
-    phase, liveness and the shock counts, each count written at its arrival."""
+    phase, liveness and the shock counts."""
 
     def __init__(self, params: ModelParams, draws: _V1Draws, out: BatchResult):
         self.deg = params.degradation
@@ -397,7 +389,6 @@ class _Batch:
                 hard[arrived] = self._shocks(ids[rows], counts[arrived],
                                              (k0 + 1 + cols) * self.dt, ns, jm, ch)
                 nshk[rows], jumps[rows], changed[rows] = ns, jm, ch
-                self.out.n_shocks[ids[rows]] = ns  # kept current: the draws' marks read it
                 total[arrived] = path[rows, cols] + jumps[rows]
                 failed[arrived] = hard[arrived] | (total[arrived] >= self.deg.soft_threshold)
                 if traces is not None:  # trace row k+1 holds step k's state
@@ -426,6 +417,7 @@ class _Batch:
                 traces[i][0].append(pure[:stop].copy())
         self.pure[ids] = path[:, -1]
         self.jumps[ids] = jumps
+        self.out.n_shocks[ids] = nshk
         return violations
 
     def _rate(self, nshk, total):
@@ -513,17 +505,20 @@ class _Batch:
         path[rows, j0:] = inc[:, 1::2] if deg.alpha2 > deg.alpha1 else inc
 
 
-def _run_block(param_sets: list[ModelParams], master_seed: int, rep_lo: int,
-               outs: list[BatchResult]) -> list[list[tuple]]:
-    """One block of replications under every parameter set, on one set of path
-    draws; returns each set's guard violations. A set stops at its first
-    violating chunk, as the run will raise. Nothing made here outlives the call."""
+def _run_block(param_sets: list[ModelParams], master_seed: int, want_traces: bool,
+               reps: tuple[int, int]) -> tuple[list[BatchResult], list[list[tuple]]]:
+    """Replications reps[0] .. reps[1]-1 under every parameter set, on one set
+    of path draws, in results of their own; returns them and each set's guard
+    violations. A set stops at its first violating chunk, as the run will
+    raise. Nothing else made here outlives the call."""
+    lo, hi = reps
+    outs = [BatchResult(hi - lo, want_traces) for _ in param_sets]
     num = param_sets[0].numerics
     n_steps = step_count(num.horizon, num.dt)
-    draws = _V1Draws(param_sets[0], master_seed, rep_lo, outs)
+    draws = _V1Draws(param_sets[0], master_seed, lo, hi - lo)
     batches = [_Batch(p, draws, out) for p, out in zip(param_sets, outs)]
     violations = [[] for _ in batches]
-    path_buf = np.empty((outs[0].failure_time.size, min(n_steps, _CHUNK)))
+    path_buf = np.empty((hi - lo, min(n_steps, _CHUNK)))
     for k0 in range(0, n_steps, _CHUNK):
         # each set's running rows; none once the set has met a violation
         live = [(b.out.mode == 0) & (not found) for b, found in zip(batches, violations)]
@@ -539,16 +534,7 @@ def _run_block(param_sets: list[ModelParams], master_seed: int, rep_lo: int,
     for b in batches:  # a set with a violation raises, so its totals are never read
         rows = np.flatnonzero(b.out.mode == 0)
         b.out.final_total[rows] = b.pure[rows] + b.jumps[rows]
-    return violations
-
-
-def _block(param_sets: list[ModelParams], master_seed: int, want_traces: bool,
-           span: tuple[int, int]) -> tuple[list[BatchResult], list[list[tuple]]]:
-    """Replications span[0] .. span[1]-1 under every set, in results of their
-    own: what _run_block writes, and each set's guard violations."""
-    lo, hi = span
-    parts = [BatchResult(hi - lo, want_traces) for _ in param_sets]
-    return parts, _run_block(param_sets, master_seed, lo, parts)
+    return outs, violations
 
 
 def _workers(n_blocks: int) -> int:
@@ -558,22 +544,41 @@ def _workers(n_blocks: int) -> int:
     return min(cpus or 1, n_blocks)
 
 
+def _end_with_parent() -> None:
+    """Each worker's initializer: a thread that ends the worker when the process
+    that started it ends. The pool's queues tell an orphaned worker nothing: it
+    would wait forever for its next block, or to hand in its last."""
+    import multiprocessing
+    import threading
+
+    def watch():
+        multiprocessing.parent_process().join()
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 def _pool(n_blocks: int):
-    """A fork-context pool of _workers(n_blocks) processes, or None where the
-    blocks run in this process: one worker, a daemonic caller (a pool cannot
-    start its children), no fork start method, or a caller running other
-    threads (a child gets only the forking thread, and a lock another thread
-    held stays held in it). Forked workers start with every module loaded; a
-    spawned one would import numpy and the package again."""
+    """A fork-context process pool of _workers(n_blocks) workers, or None where
+    the blocks run in this process: one worker, a daemonic caller (a pool
+    cannot start its children), no fork start method, or a caller running
+    other threads (a child gets only the forking thread, and a lock another
+    thread held stays held in it). Forked workers start with every module
+    loaded; a spawned one would import numpy and the package again. With fork
+    the pool starts every worker before its own manager thread, a worker that
+    dies breaks the pool (BrokenProcessPool) rather than losing its block, and
+    each worker ends with this process (_end_with_parent)."""
     import multiprocessing  # here, so that no run of one block pays its import
     import threading
+    from concurrent.futures import ProcessPoolExecutor
 
     workers = _workers(n_blocks)
     if (workers < 2 or multiprocessing.current_process().daemon
             or "fork" not in multiprocessing.get_all_start_methods()
             or threading.active_count() > 1):
         return None
-    return multiprocessing.get_context("fork").Pool(workers)
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_end_with_parent)
 
 
 def simulate_sets(param_sets: list[ModelParams], master_seed: int, rep_lo: int, rep_hi: int,
@@ -586,7 +591,8 @@ def simulate_sets(param_sets: list[ModelParams], master_seed: int, rep_lo: int, 
     one, is bit-identical to running that set alone. A run of more than one
     block without traces hands its blocks to forked workers (_pool) and
     gathers them in block order; the bytes are those of one process, and no
-    worker outlives the call.
+    worker outlives the call. A worker that ends abruptly (killed, or out of
+    memory) raises BrokenProcessPool at once.
     """
     n = rep_hi - rep_lo
     if n < 1:
@@ -602,19 +608,18 @@ def simulate_sets(param_sets: list[ModelParams], master_seed: int, rep_lo: int, 
         raise ValueError(f"n_reps={n} needs {33 * n * len(param_sets)} bytes of results, "
                          "more than can be allocated") from None
     spans = [(lo, min(lo + rows, rep_hi)) for lo in range(rep_lo, rep_hi, rows)]
-    job = functools.partial(_block, param_sets, master_seed, want_traces)
+    job = functools.partial(_run_block, param_sets, master_seed, want_traces)
     pool = None if want_traces or len(spans) == 1 else _pool(len(spans))
     violations = [[] for _ in param_sets]
     try:
-        blocks = map(job, spans) if pool is None else pool.imap(job, spans)
+        blocks = map(job, spans) if pool is None else pool.map(job, spans)
         for (lo, _), (parts, found_block) in zip(spans, blocks):
             for out, part, found, block in zip(outs, parts, violations, found_block):
                 out.put(lo - rep_lo, part)
                 found += block
     finally:
-        if pool is not None:
-            pool.terminate()
-            pool.join()
+        if pool is not None:  # waits for the blocks still running, then for every worker
+            pool.shutdown(cancel_futures=True)
     dt = param_sets[0].numerics.dt
     for found in violations:
         if found:  # the step loop's error: its earliest violating step, at the largest intensity

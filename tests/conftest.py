@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -77,3 +78,11 @@ def valve_params() -> ModelParams:
 @pytest.fixture(scope="session")
 def grid_41() -> np.ndarray:
     return np.linspace(0.0, 20.0, 41)
+
+
+@pytest.fixture(autouse=True)
+def no_child_outlives_a_test():
+    """Every test leaves no child process running: the engine's workers end
+    with the call that started them, and a test's own children with it."""
+    yield
+    assert multiprocessing.active_children() == []

@@ -167,11 +167,9 @@ IMPLEMENTATION = (
     Entry(KERNEL + "test_sets_side_by_side_small_mark_buffers",
           "sets that share a mark buffer read the marks each reads alone",
           (KERNEL + "test_sets_side_by_side_match_each_alone",), "goes with _V1Draws.marks"),
-    Entry(KERNEL + "test_mark_buffer_width_follows_a_steps_arrivals",
-          "the mark buffer stays at its first width", (), "goes with _V1Draws.marks"),
-    Entry(KERNEL + "test_mark_buffer_floor_is_the_lowest_next_read_of_any_set",
-          "a top-up keeps a row's normals from the lowest next read of any running set",
-          (), "goes with _V1Draws.marks"),
+    Entry(KERNEL + "test_mark_buffer_rows_hold_a_prefix_of_their_stream",
+          "each row of the mark buffer holds a prefix of its mark stream, at most twice as "
+          "wide as the furthest read", (), "goes with _V1Draws.marks"),
     *(Entry(KERNEL + name,
             "the rules read draws only through _V1Draws's chunk, rows, post and marks, so "
             "the same numbers in another layout give the same results",

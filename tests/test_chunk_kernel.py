@@ -276,78 +276,45 @@ def test_sets_side_by_side_match_each_alone(case, rows):
 def test_sets_side_by_side_small_mark_buffers(case, rows, marks, monkeypatch):
     # the test above with a _MARKS axis, kept apart so that its ids stay: the
     # sets share a block's mark buffer but take different numbers of shocks per
-    # row, so one set tops up a row and drops normals another set still reads
+    # row, so one set's read widens the buffer or draws on a row another set reads
     monkeypatch.setattr(simulate, "_MARKS", marks)
     test_sets_side_by_side_match_each_alone(case, rows)
 
 
-def test_mark_buffer_width_follows_a_steps_arrivals(monkeypatch):
-    # a top-up drops the normals every running set has read, so rows taking up
-    # to about 60 shocks keep the first width of 16 shocks
-    seen = []
-    real = simulate._V1Draws.marks
-
-    def spy(self, ids, first, counts):
-        marks = real(self, ids, first, counts)
-        seen.append((self.normals.shape[1], self.base[ids].max()))
-        return marks
-
-    monkeypatch.setattr(simulate._V1Draws, "marks", spy)
-    seed, lo, hi = CASES["mark_buffer_refills"][2:5]
-    res = simulate.simulate_sets([_params("mark_buffer_refills")], seed, lo, hi)[0]
-    assert 2 * res.n_shocks.max() > 3 * simulate._MARKS
-    assert {width for width, _ in seen} == {simulate._MARKS}
-    assert max(base for _, base in seen) > simulate._MARKS
-
-
-def test_mark_buffer_floor_is_the_lowest_next_read_of_any_set(monkeypatch):
-    # the side-by-side twin of the test above: whichever set reads, a top-up
-    # keeps a row's normals from the lowest next read (twice the shock count)
-    # of any set still running it; the counts are tracked here from each set's
-    # arrivals, and each set's results are those it has alone
-    seed, lo, hi = CASES["mark_buffer_refills"][2:5]
+def test_mark_buffer_rows_hold_a_prefix_of_their_stream(monkeypatch):
+    # after every read, each row read holds normals 0 .. filled-1 of its
+    # replication's mark stream, and the buffer is no wider than its first
+    # width or twice the furthest read so far: one set alone, and three
+    # lambda0 values reading one buffer side by side, each as it runs alone
+    seed, lo, hi, traces = CASES["mark_buffer_refills"][2:]
     refills = _params("mark_buffer_refills")
     sets = [apply_sweep_value(refills, "lambda0", v) for v in (4.5, 5.0, 5.5)]
     alone = [simulate.simulate_sets([p], seed, lo, hi)[0] for p in sets]
-    counts, chunk_start, reader, cases = {}, {}, [], []
-    real_advance, real_shocks, real_read = (simulate._Batch.advance, simulate._Batch._shocks,
-                                            simulate._V1Draws.marks)
+    furthest, widths, topped_up = {}, set(), []
+    real = simulate._V1Draws.marks
 
-    def count(out):
-        return counts.setdefault(out, np.zeros(out.mode.size, dtype=np.int64))
-
-    def spy_advance(self, *args):
-        chunk_start[self.out] = count(self.out).copy()
-        return real_advance(self, *args)
-
-    def spy_shocks(self, ids, arrivals, t_end, nshk, jumps, changed):
-        reader[:] = [self.out]
-        hard = real_shocks(self, ids, arrivals, t_end, nshk, jumps, changed)
-        count(self.out)[ids] = nshk
-        return hard
-
-    def spy_read(self, ids, first, counts):
+    def spy(self, ids, first, counts):
         stop = 2 * (first + counts)
-        rows = ids[self.filled[ids] < stop]
-        next_reads = np.array([np.where(out.mode[rows] == 0, 2 * count(out)[rows], stop.max())
-                               for out in self.outs])
-        marks = real_read(self, ids, first, counts)
-        lowest = next_reads.min(axis=0)
-        assert np.array_equal(self.base[rows], lowest)
-        mine = 2 * count(reader[0])[rows]
-        cases.append((np.any(lowest < mine),
-                       np.any((lowest == mine) & (mine > 2 * chunk_start[reader[0]][rows]))))
+        topped_up.append(np.any((self.filled[ids] > 0) & (self.filled[ids] < stop)))
+        marks = real(self, ids, first, counts)
+        furthest[self] = max(furthest.get(self, 0), int(stop.max()))
+        width = self.normals.shape[1]
+        assert width <= max(simulate._MARKS, 2 * furthest[self])
+        widths.add(width)
+        for i, n in zip(ids.tolist(), self.filled[ids].tolist()):
+            stream = replication_stream(seed, self.rep_lo + i, MARK_STREAM)
+            assert np.array_equal(self.normals[i, :n], stream.normal(size=n)), i
         return marks
 
-    monkeypatch.setattr(simulate._Batch, "advance", spy_advance)
-    monkeypatch.setattr(simulate._Batch, "_shocks", spy_shocks)
-    monkeypatch.setattr(simulate._V1Draws, "marks", spy_read)
+    monkeypatch.setattr(simulate._V1Draws, "marks", spy)
+    one = simulate.simulate_sets([refills], seed, lo, hi, traces)[0]
+    assert_identical(one, _reference("mark_buffer_refills"))
     together = simulate.simulate_sets(sets, seed, lo, hi)
     for res, res_alone in zip(together, alone):
         assert_identical(res, res_alone)
-    # top-ups reach both sides of the rule: a row kept for another set's next
-    # read, and one kept from the reader's own, past its count at the chunk start
-    assert np.any(cases, axis=0).tolist() == [True, True]
+    # the runs reach both ways a read extends the buffer: a wider buffer, and
+    # a row drawn on from where it stopped
+    assert max(widths) > simulate._MARKS and any(topped_up)
 
 
 def test_one_mark_stream_per_replication(monkeypatch):
@@ -397,7 +364,7 @@ def test_only_v1_draws_consumes_a_stream():
 class _PairDraws(simulate._V1Draws):
     """v1's numbers in another layout: each row's marks are drawn into a list
     of its own from its first shock, one (magnitude, jump) pair of normals at
-    a time, with no shared buffer, floor or width, and a chunk's rows are
+    a time, with no shared buffer or width, and a chunk's rows are
     served as copies. The same numbers give the same bytes (numpy's normal
     sampler concatenates), so the rules must not depend on the layout."""
 

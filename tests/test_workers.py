@@ -1,13 +1,18 @@
 """A run of several blocks hands them to forked workers (simulate._pool): its
-bytes and its guard error are those of one block in one process, and no
-worker outlives the call. Worker counts above three are checked on the rule
-(simulate._workers) alone, never by starting them."""
+bytes and its guard error are those of one block in one process, a worker
+that dies fails the run at once, and no worker outlives the call or a killed
+caller. Worker counts above three are checked on the rule (simulate._workers)
+alone, never by starting them."""
 
 import functools
+import io
 import json
 import multiprocessing
 import os
+import signal
+import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -38,7 +43,7 @@ def pools(monkeypatch):
 
     def spy(n_blocks):
         pool = real(n_blocks)
-        started.append(None if pool is None else pool._processes)
+        started.append(None if pool is None else pool._max_workers)
         return pool
 
     monkeypatch.setattr(simulate, "_pool", spy)
@@ -145,6 +150,116 @@ def test_a_workers_error_reaches_the_caller(pools, monkeypatch):
     assert type(err.value) is RuntimeError
     assert pools == [3]
     assert not multiprocessing.active_children()
+
+
+def _kill_block_14(monkeypatch):
+    """Make the worker that runs the block starting at replication 14 die by SIGKILL."""
+    real = simulate._V1Draws.chunk
+
+    def chunk(self, union, span):
+        if self.rep_lo == 14:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(self, union, span)
+
+    monkeypatch.setattr(simulate._V1Draws, "chunk", chunk)
+
+
+def _in_child(run):
+    """What ``run()`` returns, run in a forked child that is not daemonic (so it
+    may start a pool), and fails the test if that takes 10 s or more."""
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=lambda: send.send(run()))
+    child.start()
+    send.close()
+    try:
+        assert receive.poll(10), "the run neither returned nor raised within 10 s"
+        got = receive.recv()
+    finally:
+        if child.is_alive():
+            child.join(timeout=10)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0
+    return got
+
+
+def test_a_killed_worker_fails_the_run(pools, monkeypatch):
+    _kill_block_14(monkeypatch)
+
+    def run():
+        try:
+            simulate.simulate_sets([make_params(horizon=1.0)], 1, 0, 50, rows=7)
+        except Exception as err:
+            return type(err).__name__, str(err), pools, multiprocessing.active_children()
+        return "returned", "", pools, multiprocessing.active_children()
+
+    name, message, started, children = _in_child(run)
+    assert (name, started, children) == ("BrokenProcessPool", [3], [])
+    assert "terminated abruptly" in message
+
+
+def test_cli_reports_a_killed_worker(tmp_path, pools, monkeypatch):
+    # 200 replications in blocks of 7 (batch_size), the third block's worker dies
+    path = _config(tmp_path, CONFIGS / "valve.json", horizon=1.0,
+                   grid={"start": 0.0, "stop": 1.0, "points": 3})
+    out = tmp_path / "curve.csv"
+    monkeypatch.setattr(shockwear.reliability, "run_replications",
+                        functools.partial(simulate.run_replications, batch_size=7))
+    _kill_block_14(monkeypatch)
+
+    def run():
+        sys.stderr = io.StringIO()
+        code = main(["curve", "--config", path, "--reps", "200", "--out", str(out)])
+        return code, sys.stderr.getvalue(), pools, multiprocessing.active_children()
+
+    code, stderr, started, children = _in_child(run)
+    assert (code, started, children) == (1, [3], [])
+    assert stderr.startswith("worker error: ") and "terminated abruptly" in stderr
+    assert stderr.count("\n") == 1
+    assert not out.exists()
+
+
+def _running(pid):
+    """Whether process ``pid`` exists and has not ended (a zombie has ended)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states in /proc")
+def test_workers_end_with_a_killed_caller(tmp_path, pools, monkeypatch):
+    # the caller of a pooled run is killed while each of its three workers is
+    # inside a block; every worker ends within seconds instead of waiting on
+    # the pool's queues forever
+    real = simulate._V1Draws.chunk
+
+    def chunk(self, union, span):
+        (tmp_path / str(os.getpid())).touch()
+        time.sleep(30)
+        return real(self, union, span)
+
+    monkeypatch.setattr(simulate._V1Draws, "chunk", chunk)
+    caller = multiprocessing.get_context("fork").Process(
+        target=simulate.simulate_sets, args=([make_params(horizon=1.0)], 1, 0, 50),
+        kwargs={"rows": 7})
+    caller.start()
+    deadline = time.monotonic() + 10
+    while len(list(tmp_path.iterdir())) < 3 and time.monotonic() < deadline:
+        time.sleep(0.02)
+    caller.kill()
+    caller.join()
+    workers = [int(path.name) for path in tmp_path.iterdir()]
+    deadline = time.monotonic() + 10
+    while any(map(_running, workers)) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    left = [pid for pid in workers if _running(pid)]
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    assert len(workers) == 3 and left == []
 
 
 def _run_and_send(conn):
