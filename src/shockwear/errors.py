@@ -25,7 +25,10 @@ class StepSizeError(RuntimeError):
 
 
 class IntegrationError(RuntimeError):
-    """Adaptive quadrature failed to converge. ``best_estimate`` holds the last value."""
+    """Raised when a quadrature in the semi-analytic reliability cannot give a
+    value to its tolerance: adaptive quadrature failed to converge, and then
+    ``best_estimate`` holds its last value, or the wear density overflows or
+    its log terms lose their digits, and then ``best_estimate`` is None."""
 
     def __init__(self, message, best_estimate=None):
         super().__init__(message)
@@ -33,5 +36,8 @@ class IntegrationError(RuntimeError):
 
 
 class UnsupportedConfigError(ValueError):
-    """Raised when the semi-analytic reliability path is asked to handle a
-    configuration it deliberately refuses (coupled shock/wear feedback)."""
+    """Raised when the semi-analytic reliability is asked for a configuration
+    it deliberately refuses rather than approximates: wear feeding the shock
+    intensity (gamma_dep != 0), a rate change that can happen, a theta law,
+    jumps with P(Y < 0) above 1e-6, or a jump law whose count terms do not
+    truncate within reliability._MAX_TERMS."""

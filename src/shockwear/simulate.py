@@ -27,16 +27,14 @@ these read exactly the draws each would read alone, and sets that do not
 are refused.
 run_replications, simulate_paths and simulate_replication run one set; the
 first two take horizon and dt only to refuse a grid that is not the model's.
-Each replication advances a chunk of _CHUNK steps at a time: one sequential
-cumulative sum gives the pure path at every step of the chunk, with the
-rounding of adding one increment per step. Between two shocks the total wear
-and the intensity only grow, so whole-block scans find each replication's next
-event: soft failure, a guard violation, or an arrival candidate (u >= exp(-mu)
-requires u + mu >= 1). The per-step rules run only at those steps, and a
-replication is scanned again from the step after each of its events. Results
-are bit-identical to visiting every step, and to running each set alone; a
-StepSizeError is that of the first set with a violation and names its earliest
-violating step.
+Each replication advances a chunk of _CHUNK steps at a time, its set's wear
+over the chunk a path object over the block's draws (_DensePath). Between two
+shocks total wear and intensity only grow, so the rules ask the path for each
+replication's next event (the first step at which soft failure or a guard
+violation holds, or the first arrival candidate) and run the per-step rules
+only there. Results are bit-identical to visiting every step, and to running
+each set alone; a StepSizeError is that of the first set with a violation and
+names its earliest violating step.
 
 Traces (simulate_paths) stay columnar from the chunk to the caller: a chunk
 keeps each row's slice of its pure path and, per step that took shocks, the
@@ -213,11 +211,12 @@ class BatchResult:
 
 class _V1Draws:
     """Stream contract v1's draws for one block, shared by its sets: the path
-    streams and theta, the refill buffers, the post-change inversion and the
-    mark buffer. Nothing else in the engine consumes a stream, and changing
-    any of this changes every result for a given seed. The rules ask by block
-    row and shock, never by buffer position, through chunk, rows, post and
-    marks: the contract a second draws class implements. Layout:
+    streams and theta, the refill buffers and a _DensePath's scratch, the
+    post-change inversion and the mark buffer. Nothing else in the engine
+    consumes a stream, and changing any of this changes every result for a
+    given seed. The rules ask for marks by block row and shock, never by buffer
+    position (marks), and for wear only through a _DensePath over chunk's
+    arrays and post; a second draws class brings chunk, marks and a path. Layout:
 
       path stream  : [theta uniform if a theta law is set] then, per chunk of
                      _CHUNK steps, a block of gamma increments at the pre-change
@@ -262,6 +261,7 @@ class _V1Draws:
         self.shape_pre, self.scale = self.theta * (alpha1 * num.dt), 1.0 / beta
         cols = min(step_count(num.horizon, num.dt), _CHUNK)
         self.g1_buf, self.u_buf = np.empty((n, cols)), np.empty((n, 2 * cols))
+        self.path_buf = np.empty((n, cols))  # one set's path at a time: sets advance in turn
         self.normals = np.empty((n, _MARKS))
         self.filled = np.zeros(n, dtype=np.intp)
         self.mark_gens = {}  # block row -> its mark stream
@@ -279,12 +279,6 @@ class _V1Draws:
         g1 *= self.scale  # the draws of g.gamma(shape, scale): numpy scales standard gammas
         self.at[union] = np.arange(union.size)
         self.g1, self.u2, self.upois = g1, u[:, :span], u[:, span:]
-
-    def rows(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """This chunk's pre-change increments and arrival uniforms of its block
-        rows ``ids`` (ascending), to be read only: views when ``ids`` is all of them."""
-        at = slice(None) if ids.size == self.g1.shape[0] else self.at[ids]
-        return self.g1[at], self.upois[at]
 
     def post(self, deg: DegradationParams, ids: np.ndarray, j0: int) -> np.ndarray:
         """Post-change increments of block rows ``ids`` under ``deg``, from chunk column j0 on."""
@@ -315,59 +309,119 @@ class _V1Draws:
         return self.normals[ids[:, None], col], self.normals[ids[:, None], col + 1]
 
 
+class _DensePath:
+    """Pure wear of block rows ``ids`` (ascending; asked by position in ids) at
+    every step of the chunk ``draws`` holds, from ``start``, one sequential
+    cumulative sum (the step loop's rounding), and their arrival uniforms. It
+    answers the rules' four questions: the first step a test of total wear holds
+    (first), the first arrival candidate (first_arrival, then arrivals), pure
+    wear at steps (at, prefixes) and the post-change law from a step (switch)."""
+
+    def __init__(self, draws: _V1Draws, deg: DegradationParams, ids, start):
+        at = slice(None) if ids.size == draws.g1.shape[0] else draws.at[ids]
+        self.g1, self.upois = draws.g1[at], draws.upois[at]  # views when ids is all of them
+        self.draws, self.deg, self.ids, self.start = draws, deg, ids, start
+        self.span = self.g1.shape[1]
+        self.path = draws.path_buf[:ids.size, :self.span]
+        np.copyto(self.path, self.g1)
+        self.path[:, 0] += start
+        np.cumsum(self.path, axis=1, out=self.path)
+
+    def first(self, act, pos, holds) -> np.ndarray:
+        """First step >= pos of each row in ``act`` at which ``holds(act, pure)`` is
+        true, else span; pure is their pure wear, a column per step, in a copy holds
+        may overwrite. holds never turns false between events."""
+        return np.maximum((~holds(act, self.path[act])).sum(axis=1), pos)
+
+    def first_arrival(self, act, pos, mu_last) -> np.ndarray:
+        """First step >= pos of each row in ``act`` that may take an arrival at
+        intensity*dt <= ``mu_last``, else span: u >= exp(-mu) >= 1 - mu, so
+        u + mu_last >= 1 - _ARRIVAL_SLACK keeps every arrival."""
+        sel = slice(None) if act.size == self.path.shape[0] else act
+        cand = self.upois[sel] >= ((1.0 - _ARRIVAL_SLACK) - mu_last)[:, None]
+        if pos.any():
+            cand &= np.arange(self.span) >= pos[:, None]
+        e = np.full(act.size, self.span)
+        rows = np.flatnonzero(cand.any(axis=1))
+        e[rows] = cand[rows].argmax(axis=1)
+        return e
+
+    def arrivals(self, rows, steps, mu) -> np.ndarray:
+        """Arrival counts of ``rows`` at ``steps``, at intensity*dt ``mu``."""
+        return poisson_counts(mu, self.upois[rows, steps])
+
+    def at(self, rows, steps) -> np.ndarray:
+        """Pure wear of ``rows`` at ``steps``."""
+        return self.path[rows, steps]
+
+    def prefixes(self, stops) -> list[np.ndarray]:
+        """Each row's pure wear at steps 0 .. stops[q]-1, as arrays of its own."""
+        return [pure[:stop].copy() for pure, stop in zip(self.path, stops.tolist())]
+
+    def switch(self, rows, j0: int) -> None:
+        """Rebuild the paths of ``rows`` from step j0 on under the post-change law."""
+        deg = self.deg
+        post = self.draws.post(deg, self.ids[rows], j0)
+        if deg.alpha2 > deg.alpha1:
+            # rounding as (pure + pre-change increment) + post-change increment
+            inc = np.empty((rows.size, 2 * post.shape[1]))
+            inc[:, 0::2] = self.g1[rows, j0:]
+            inc[:, 1::2] = post
+        else:
+            inc = post
+        inc[:, 0] += self.start[rows] if j0 == 0 else self.path[rows, j0 - 1]
+        np.cumsum(inc, axis=1, out=inc)
+        self.path[rows, j0:] = inc[:, 1::2] if deg.alpha2 > deg.alpha1 else inc
+
+
 class _Batch:
     """One parameter set's rows of one block, advanced a chunk at a time on its
     block's draws under the rules of ``deg`` and ``shk``. A set owns only its
     row state, by block-local id: pure and jumps, and ``out``, which holds
-    phase, liveness and the shock counts."""
+    phase, liveness and the shock counts; its wear is a _DensePath per chunk."""
 
     def __init__(self, params: ModelParams, draws: _V1Draws, out: BatchResult):
-        self.deg = params.degradation
-        self.shk = params.shock
-        n = out.failure_time.size
-        self.dt = params.numerics.dt
-        self.draws = draws
-        self.out = out
-        self.pure = np.zeros(n)
-        self.jumps = np.zeros(n)
+        self.deg, self.shk, self.dt = params.degradation, params.shock, params.numerics.dt
+        self.draws, self.out = draws, out
+        self.pure, self.jumps = np.zeros(out.failure_time.size), np.zeros(out.failure_time.size)
 
-    def advance(self, ids: np.ndarray, k0: int, path: np.ndarray) -> list[tuple]:
-        """Advance rows ``ids`` (alive, ascending) through steps k0 .. k0+span-1
-        of the chunk the draws hold; ``path`` is scratch of len(ids) x span.
-        Returns the guard violations met, one ``(step, -rate, rep_index)`` per
-        row that stopped at its first step with ``rate*dt > MAX_RATE_DT``: the
-        earliest step, at the largest intensity, sorts first.
-        """
-        g1, upois = self.draws.rows(ids)
-        m, span = g1.shape
-
-        # Pure-wear path of every row at every column of the chunk. Accumulation
-        # is sequential, so each entry is the running sum the step loop forms.
-        np.copyto(path, g1)
-        path[:, 0] += self.pure[ids]
-        np.cumsum(path, axis=1, out=path)
-
-        jumps = self.jumps[ids]
-        nshk = self.out.n_shocks[ids]
+    def advance(self, ids: np.ndarray, k0: int) -> list[tuple]:
+        """Advance rows ``ids`` (alive, ascending) through the chunk the draws
+        hold, whose first step is k0. Returns the guard violations met, one
+        ``(step, -rate, rep_index)`` per row that stopped at its first step
+        with ``rate*dt > MAX_RATE_DT``: the earliest step, at the largest
+        intensity, sorts first."""
+        wear = _DensePath(self.draws, self.deg, ids, self.pure[ids])
+        span = wear.span
+        jumps, nshk = self.jumps[ids], self.out.n_shocks[ids]
         changed = ~np.isnan(self.out.rate_change_time[ids])
         if self.deg.alpha2 != self.deg.alpha1 and changed.any():
-            rows = np.flatnonzero(changed)
-            self._repath(path, g1, ids, rows, 0, self.pure[ids[rows]])
+            wear.switch(np.flatnonzero(changed), 0)
 
-        traces = self.out.traces
-        violations = []
-        act = np.arange(m)
-        pos = np.zeros(m, dtype=np.intp)  # first column not yet processed
+        traces, violations = self.out.traces, []
+        every = act = np.arange(ids.size)
+        pos = np.zeros(ids.size, dtype=np.intp)  # first step not yet processed
+
+        def ends(rows, wear):  # soft failure or a guard violation, on total wear
+            wear += jumps[rows, None]
+            return ((wear >= self.deg.soft_threshold)
+                    | (self._rate(nshk[rows, None], wear) * self.dt > MAX_RATE_DT))
+
         while act.size:
-            e = self._next_event(path, upois, jumps, nshk, act, pos)
+            last = wear.at(act, span - 1) + jumps[act]
+            mu_last = self._rate(nshk[act], last) * self.dt
+            e = wear.first_arrival(act, pos[act], mu_last)
+            rows = np.flatnonzero((last >= self.deg.soft_threshold) | (mu_last > MAX_RATE_DT))
+            if rows.size:  # only rows that stop by the chunk's end need a count
+                e[rows] = np.minimum(e[rows], wear.first(act[rows], pos[act[rows]], ends))
             hit = e < span
             act, e = act[hit], e[hit]
             if not act.size:
                 break
 
-            # The per-step rules at each row's event column, in step-loop order:
+            # The per-step rules at each row's event step, in step-loop order:
             # soft failure, then the guard, then arrivals.
-            total = path[act, e] + jumps[act]
+            total = wear.at(act, e) + jumps[act]
             rate = self._rate(nshk[act], total)
             mu = rate * self.dt
             soft = total >= self.deg.soft_threshold
@@ -375,7 +429,7 @@ class _Batch:
             running = ~(soft | over)
             counts = np.zeros(act.size, dtype=np.int64)
             if running.any():
-                counts[running] = poisson_counts(mu[running], upois[act[running], e[running]])
+                counts[running] = wear.arrivals(act[running], e[running], mu[running])
             for j in np.flatnonzero(over):
                 violations.append((k0 + int(e[j]), -rate[j], self.draws.rep_lo + int(ids[act[j]])))
 
@@ -389,7 +443,7 @@ class _Batch:
                 hard[arrived] = self._shocks(ids[rows], counts[arrived],
                                              (k0 + 1 + cols) * self.dt, ns, jm, ch)
                 nshk[rows], jumps[rows], changed[rows] = ns, jm, ch
-                total[arrived] = path[rows, cols] + jumps[rows]
+                total[arrived] = wear.at(rows, cols) + jumps[rows]
                 failed[arrived] = hard[arrived] | (total[arrived] >= self.deg.soft_threshold)
                 if traces is not None:  # trace row k+1 holds step k's state
                     for i, row, jm_r, ns_r in zip(ids[rows].tolist(), (k0 + 1 + cols).tolist(),
@@ -398,8 +452,7 @@ class _Batch:
                 if self.deg.alpha2 != self.deg.alpha1:
                     switched = changed[rows] & ~was_changed & ~failed[arrived] & (cols + 1 < span)
                     for j in np.flatnonzero(switched):
-                        self._repath(path, g1, ids, rows[j:j + 1], cols[j] + 1,
-                                     path[rows[j], cols[j]])
+                        wear.switch(rows[j:j + 1], cols[j] + 1)
 
             if failed.any():
                 rows, cols = act[failed], e[failed]
@@ -412,10 +465,10 @@ class _Batch:
             act = act[keep]
 
         if traces is not None:  # a failed row's pure path ends at its failure step
-            stops = np.where(self.out.mode[ids] != 0, pos, span).tolist()
-            for i, pure, stop in zip(ids.tolist(), path, stops):
-                traces[i][0].append(pure[:stop].copy())
-        self.pure[ids] = path[:, -1]
+            stops = np.where(self.out.mode[ids] != 0, pos, span)
+            for i, pure in zip(ids.tolist(), wear.prefixes(stops)):
+                traces[i][0].append(pure)
+        self.pure[ids] = wear.at(every, span - 1)
         self.jumps[ids] = jumps
         self.out.n_shocks[ids] = nshk
         return violations
@@ -452,58 +505,6 @@ class _Batch:
             jumps[q[up]] += y[up]
         return hard
 
-    def _next_event(self, path, upois, jumps, nshk, act, pos) -> np.ndarray:
-        """First column >= pos of each row in ``act`` that may hold an event.
-
-        Within a chunk a row's pure path, total and intensity are
-        nondecreasing until its next event, so soft failure and the guard are
-        first met where a prefix count says, and only rows whose last column
-        reaches the threshold need the count. Arrival candidates are the
-        uniforms with u >= exp(-mu) possible at the row's largest mu: exp(-mu)
-        >= 1 - mu, so u + mu_last >= 1 - _ARRIVAL_SLACK keeps every arrival,
-        and poisson_counts decides which candidates are arrivals.
-        """
-        span = path.shape[1]
-        whole = act.size == path.shape[0]
-        sel = slice(None) if whole else act
-        jm = jumps[act]
-        last = path[sel, -1] + jm
-        mu_last = self._rate(nshk[act], last) * self.dt
-
-        cand = upois[sel] >= ((1.0 - _ARRIVAL_SLACK) - mu_last)[:, None]
-        p = pos[act]
-        if p.any():
-            cand &= np.arange(span) >= p[:, None]
-        e = np.full(act.size, span)
-        rows = np.flatnonzero(cand.any(axis=1))
-        e[rows] = cand[rows].argmax(axis=1)
-
-        rows = np.flatnonzero((last >= self.deg.soft_threshold) | (mu_last > MAX_RATE_DT))
-        if rows.size:
-            total = path[act[rows]] + jm[rows, None]
-            first_soft = (total < self.deg.soft_threshold).sum(axis=1)
-            mu = self._rate(nshk[act[rows], None], total) * self.dt
-            first_over = (mu <= MAX_RATE_DT).sum(axis=1)
-            first = np.maximum(np.minimum(first_soft, first_over), p[rows])
-            e[rows] = np.minimum(e[rows], first)
-        return e
-
-    def _repath(self, path, g1, ids, rows, j0, start) -> None:
-        """Rebuild the pure paths of rate-changed ``rows`` from column j0 on,
-        starting from ``start`` (their pure wear before column j0)."""
-        deg = self.deg
-        post = self.draws.post(deg, ids[rows], j0)
-        if deg.alpha2 > deg.alpha1:
-            # rounding as (pure + pre-change increment) + post-change increment
-            inc = np.empty((rows.size, 2 * post.shape[1]))
-            inc[:, 0::2] = g1[rows, j0:]
-            inc[:, 1::2] = post
-        else:
-            inc = post
-        inc[:, 0] += start
-        np.cumsum(inc, axis=1, out=inc)
-        path[rows, j0:] = inc[:, 1::2] if deg.alpha2 > deg.alpha1 else inc
-
 
 def _run_block(param_sets: list[ModelParams], master_seed: int, want_traces: bool,
                reps: tuple[int, int]) -> tuple[list[BatchResult], list[list[tuple]]]:
@@ -518,7 +519,6 @@ def _run_block(param_sets: list[ModelParams], master_seed: int, want_traces: boo
     draws = _V1Draws(param_sets[0], master_seed, lo, hi - lo)
     batches = [_Batch(p, draws, out) for p, out in zip(param_sets, outs)]
     violations = [[] for _ in batches]
-    path_buf = np.empty((hi - lo, min(n_steps, _CHUNK)))
     for k0 in range(0, n_steps, _CHUNK):
         # each set's running rows; none once the set has met a violation
         live = [(b.out.mode == 0) & (not found) for b, found in zip(batches, violations)]
@@ -530,7 +530,7 @@ def _run_block(param_sets: list[ModelParams], master_seed: int, want_traces: boo
         for b, found, rows_alive in zip(batches, violations, live):
             ids = np.flatnonzero(rows_alive)
             if ids.size:
-                found += b.advance(ids, k0, path_buf[:ids.size, :span])
+                found += b.advance(ids, k0)
     for b in batches:  # a set with a violation raises, so its totals are never read
         rows = np.flatnonzero(b.out.mode == 0)
         b.out.final_total[rows] = b.pure[rows] + b.jumps[rows]

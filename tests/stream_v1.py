@@ -171,9 +171,12 @@ IMPLEMENTATION = (
           "each row of the mark buffer holds a prefix of its mark stream, at most twice as "
           "wide as the furthest read", (), "goes with _V1Draws.marks"),
     *(Entry(KERNEL + name,
-            "the rules read draws only through _V1Draws's chunk, rows, post and marks, so "
-            "the same numbers in another layout give the same results",
-            (KERNEL + "test_only_v1_draws_consumes_a_stream",),
+            "the rules read wear only through the path object's four questions (first "
+            "step a test holds, first arrival candidate, wear at steps, switch) and marks "
+            "only through _V1Draws.marks, so the same numbers in another layout (per-row "
+            "lists and a per-step scan) give the same results",
+            (KERNEL + "test_only_v1_draws_consumes_a_stream",
+             KERNEL + "test_rules_read_wear_only_through_the_path"),
             "relies on numpy's normal sampler concatenating (test_normal_draws_concatenate); "
             "a second draws class gets the same test against its own layout")
       for name in ("test_rules_on_a_second_layout_match_step_loop",

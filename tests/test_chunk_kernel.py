@@ -6,6 +6,7 @@ parameter sets side by side."""
 import ast
 import functools
 import inspect
+import itertools
 import pickle
 import warnings
 
@@ -361,19 +362,32 @@ def test_only_v1_draws_consumes_a_stream():
     assert named(rest) == set()
 
 
+def test_rules_read_wear_only_through_the_path():
+    # _Batch asks its path object for events and pure wear: no method of it
+    # sums a chunk or names a chunk's increments or uniforms, so a second
+    # path layout is a second path class and no rule changes
+    arrays = {"cumsum", "g1", "upois", "u2"}
+
+    def named(node):
+        return ({sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
+                | {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}) & arrays
+
+    classes = {node.name: node for node in ast.parse(inspect.getsource(simulate)).body
+               if isinstance(node, ast.ClassDef)}
+    assert named(classes["_DensePath"]) == {"cumsum", "g1", "upois"}  # the check sees them
+    assert named(classes["_Batch"]) == set()
+
+
 class _PairDraws(simulate._V1Draws):
     """v1's numbers in another layout: each row's marks are drawn into a list
     of its own from its first shock, one (magnitude, jump) pair of normals at
-    a time, with no shared buffer or width, and a chunk's rows are
-    served as copies. The same numbers give the same bytes (numpy's normal
-    sampler concatenates), so the rules must not depend on the layout."""
+    a time, with no shared buffer or width. The same numbers give the same
+    bytes (numpy's normal sampler concatenates), so the rules must not depend
+    on the layout."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.pairs = {}  # block row -> (its mark stream, its pairs drawn so far)
-
-    def rows(self, ids):
-        return tuple(draws.copy() for draws in super().rows(ids))
 
     def marks(self, ids, first, counts):
         zw = np.full((ids.size, counts.max()), np.nan)
@@ -389,9 +403,65 @@ class _PairDraws(simulate._V1Draws):
         return zw, zy
 
 
+class _ScanPath:
+    """The path object's questions answered from per-row Python lists: each
+    row's increments and arrival uniforms are copied out of the chunk, its
+    pure wear is summed one step at a time, and a first step is found by
+    testing each step in turn from ``pos``, with no prefix count and no
+    assumption that a test stays true. It is not a _DensePath, so a rule that
+    reaches past the questions fails here."""
+
+    def __init__(self, draws, deg, ids, start):
+        self.draws, self.deg, self.ids, self.start = draws, deg, ids, start.tolist()
+        self.span = draws.g1.shape[1]
+        self.g1 = [draws.g1[i].tolist() for i in draws.at[ids].tolist()]
+        self.upois = [draws.upois[i].tolist() for i in draws.at[ids].tolist()]
+        self.pure = [list(itertools.accumulate(g1, initial=s))[1:]
+                     for s, g1 in zip(self.start, self.g1)]
+
+    def first(self, act, pos, holds):
+        e = []
+        for row, p in zip(act.tolist(), pos.tolist()):
+            steps = holds(np.array([row]), np.array([self.pure[row][p:]]))[0].tolist()
+            e.append(p + steps.index(True) if True in steps else self.span)
+        return np.array(e, dtype=np.intp)
+
+    def first_arrival(self, act, pos, mu_last):
+        e = []
+        for row, p, mu in zip(act.tolist(), pos.tolist(), mu_last.tolist()):
+            bound = (1.0 - simulate._ARRIVAL_SLACK) - mu
+            e.append(next((k for k in range(p, self.span) if self.upois[row][k] >= bound),
+                          self.span))
+        return np.array(e, dtype=np.intp)
+
+    def arrivals(self, rows, steps, mu):
+        u = [self.upois[row][k] for row, k in zip(rows.tolist(), steps.tolist())]
+        return simulate.poisson_counts(mu, np.array(u))
+
+    def at(self, rows, steps):
+        steps = np.broadcast_to(steps, rows.shape)
+        return np.array([self.pure[row][k] for row, k in zip(rows.tolist(), steps.tolist())])
+
+    def prefixes(self, stops):
+        return [np.array(pure[:stop], dtype=float) for pure, stop in zip(self.pure, stops.tolist())]
+
+    def switch(self, rows, j0):
+        added = self.deg.alpha2 > self.deg.alpha1  # the post-change term adds to the pre-change one
+        for row, post in zip(rows.tolist(), self.draws.post(self.deg, self.ids[rows], j0).tolist()):
+            total = self.start[row] if j0 == 0 else self.pure[row][j0 - 1]
+            for k, inc in enumerate(post, j0):
+                total = (total + self.g1[row][k]) + inc if added else total + inc
+                self.pure[row][k] = total
+
+
+def _second_layout(monkeypatch):
+    monkeypatch.setattr(simulate, "_V1Draws", _PairDraws)
+    monkeypatch.setattr(simulate, "_DensePath", _ScanPath)
+
+
 @pytest.mark.parametrize("case", list(CASES))
 def test_rules_on_a_second_layout_match_step_loop(case, monkeypatch):
-    monkeypatch.setattr(simulate, "_V1Draws", _PairDraws)
+    _second_layout(monkeypatch)
     _, horizon, seed, lo, hi, traces = CASES[case]
     new = simulate.simulate_sets([_params(case)], seed, lo, hi, traces, rows=7)[0]
     assert_identical(new, _reference(case))
@@ -401,7 +471,7 @@ def test_rules_on_a_second_layout_match_step_loop(case, monkeypatch):
 def test_sets_on_a_second_layout_match_each_alone(case, monkeypatch):
     sets = _sweep_sets(case)[3]
     alone = [simulate.simulate_sets([p], 7, 3, 160)[0] for p in sets]
-    monkeypatch.setattr(simulate, "_V1Draws", _PairDraws)
+    _second_layout(monkeypatch)
     for res, res_alone in zip(simulate.simulate_sets(sets, 7, 3, 160), alone):
         assert_identical(res, res_alone)
 

@@ -765,17 +765,20 @@ class TestEntryPoint:
         # scipy.special is most of the start-up time. The gamma CDF of
         # validate's oracle, and the inverse gamma CDF that theta laws and rate
         # changes need, are loaded without it; the first and the last two runs
-        # use them.
+        # use them. Every run is one block, which runs in this process, so the
+        # worker pool's modules stay out too.
         theta = write_config(tmp_path, valve_doc(**{"run.n_reps": 200,
                                                     "model.theta": {"shape": 20.0, "rate": 20.0}}))
         aggressive = write_config(tmp_path, aggressive_doc(), name="aggressive.json")
         script = f"""
 import sys
 import shockwear.cli
-loaded = ["scipy" in sys.modules]
+def modules():
+    return [m for m in ("scipy", "multiprocessing", "concurrent.futures") if m in sys.modules]
+loaded = [modules()]
 def run(*argv):
     assert shockwear.cli.main(list(argv)) == 0, argv
-    loaded.append("scipy" in sys.modules)
+    loaded.append(modules())
 configs, out = {str(CONFIGS)!r}, {str(tmp_path / "out.csv")!r}
 run("validate", "--config", configs + "/decoupled.json", "--reps", "500")
 run("curve", "--config", configs + "/valve_coarse.json", "--reps", "500", "--out", out)
@@ -789,4 +792,4 @@ print(loaded)
 """
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == str([False] * 7)
+        assert proc.stdout.splitlines()[-1] == str([[]] * 7)
