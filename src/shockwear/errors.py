@@ -25,10 +25,8 @@ class StepSizeError(RuntimeError):
 
 
 class IntegrationError(RuntimeError):
-    """Raised when a quadrature in the semi-analytic reliability cannot give a
-    value to its tolerance: adaptive quadrature failed to converge, and then
-    ``best_estimate`` holds its last value, or the wear density overflows or
-    its log terms lose their digits, and then ``best_estimate`` is None."""
+    """Raised by the adaptive quadrature of the semi-analytic reliability when
+    it cannot meet its tolerance; ``best_estimate`` holds its last value."""
 
     def __init__(self, message, best_estimate=None):
         super().__init__(message)
@@ -39,5 +37,6 @@ class UnsupportedConfigError(ValueError):
     """Raised when the semi-analytic reliability is asked for a configuration
     it deliberately refuses rather than approximates: wear feeding the shock
     intensity (gamma_dep != 0), a rate change that can happen, a theta law,
-    jumps with P(Y < 0) above 1e-6, or a jump law whose count terms do not
-    truncate within reliability._MAX_TERMS."""
+    jumps with P(Y < 0) above 1e-6, an integrated shock intensity lambda0 * t
+    that is not finite, or a jump law whose count terms do not truncate
+    within reliability._MAX_TERMS."""

@@ -143,15 +143,3 @@ def facilitation_pmf(i: int, eta: float, big_lambda: float) -> float:
         r * log_n_r, -0.5 * log_n_r, -0.5 * math.log(2.0 * math.pi * i),
         i * math.log(n * q / i), -big_lambda,
     ]))
-
-
-def iid_sum_normal(m: int, law: NormalLaw) -> NormalLaw:
-    """Law of the sum of m i.i.d. draws from ``law``.
-
-    m = 0 would be the point mass at zero, which NormalLaw cannot represent;
-    callers must branch on that case themselves.
-    """
-    if int(m) != m or m < 1:
-        raise ValueError(f"m must be an integer >= 1 (m=0 is the point mass at zero), got {m}")
-    m = int(m)
-    return NormalLaw(m * law.mean, math.sqrt(m) * law.stdev)

@@ -4,25 +4,18 @@ decoupled special case, and paired-seed parameter sweeps."""
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import MODEL_KEYS
-from .errors import IntegrationError, UnsupportedConfigError
-from .kernel import (
-    GammaLaw,
-    NormalLaw,
-    facilitation_pmf,
-    gamma_cdf,
-    iid_sum_normal,
-    normal_cdf,
-)
+from .errors import UnsupportedConfigError
+from .kernel import GammaLaw, NormalLaw, _scipy_ufunc, facilitation_pmf, gamma_cdf, normal_cdf
 from .quadrature import integrate
 from .simulate import ModelParams, Numerics, run_replications, simulate_sets
 
 _Z95 = 1.959963984540054
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _PMF_TAIL_TOL = 1e-10  # truncation of the count-law sum in the analytic path
 _QUAD_TOL = 1e-9       # absolute tolerance per damage-convolution integral
 _MAX_TERMS = 200_000   # count terms the analytic sum may take before it gives up
@@ -120,54 +113,23 @@ def _require_decoupled(params: ModelParams) -> None:
 
 def _wear_below(h: float, wear: GammaLaw, m: int, jump_law: NormalLaw) -> float:
     """P(X + S < h, S >= 0) for pure wear X ~ ``wear`` and S the sum of m >= 1
-    jumps drawn from ``jump_law``.
+    jumps drawn from ``jump_law``, so S ~ N(m mu, m sigma^2).
 
-    The density of X is integrated against P(0 <= S < h - x), which the
-    normal CDF gives in closed form, so no special function is evaluated
-    inside the quadrature. For a shape a < 1 the substitution v = x**a turns
-    the x**(a-1) endpoint into the bounded integrand
-    beta**a exp(-beta v**(1/a)) / Gamma(a+1). Wear x above h - (E[S] - 10 sd(S))
-    is skipped: there S < h - x needs a jump sum 10 standard deviations below
-    its mean. For a >= 1 only wear within 40 standard deviations of the mode
-    is integrated, and the density is exp of a sum of log terms; where their
-    rounding alone could exceed the quadrature's tolerance (shapes from about
-    2e5 up), IntegrationError is raised rather than a value.
+    The density of S is integrated against the gamma CDF of h - s, scipy's
+    ``gammainc``, over the jump sums within 10 standard deviations of m mu
+    that lie in [0, h]; the term is 0 where none do.
     """
-    jumps = iid_sum_normal(m, jump_law)
-    x_hi = h - max(0.0, jumps.mean - 10.0 * jumps.stdev)
-    if x_hi <= 0.0:
-        return 0.0
-    p_negative = normal_cdf(0.0, jumps)
-    a, beta = wear.shape, wear.rate
-    if a < 1.0:
-        log_c = a * math.log(beta) - math.lgamma(a + 1.0)
-        inv_a = 1.0 / a
-
-        def integrand(v):
-            x = v ** inv_a
-            return math.exp(log_c - beta * x) * (normal_cdf(h - x, jumps) - p_negative)
-
-        return integrate(integrand, 0.0, x_hi ** a, tol=_QUAD_TOL)
-
-    # The mass lies within 40 standard deviations of the mode, and a peak
-    # narrower than the quadrature's first panels could fall between their samples.
-    spread = 40.0 * math.sqrt(a)
-    lo, hi = max(0.0, (a - 1.0 - spread) / beta), min(x_hi, (a - 1.0 + spread) / beta)
-    log_c = a * math.log(beta) - math.lgamma(a)
-    # The log-density adds terms of this size whose sum is small where the
-    # density lives; their rounding is that much relative error in the density.
-    # (Where the spread is below one ulp of the mode, lo == hi and they are huge.)
-    terms = abs(log_c) + (a - 1.0) * abs(math.log(hi)) + beta * hi
-    if terms * sys.float_info.epsilon > _QUAD_TOL:
-        raise IntegrationError(f"the wear density of {wear} loses its digits: its log terms "
-                               f"reach {terms:.3g}, whose rounding exceeds tol={_QUAD_TOL:g}")
+    mean, sd = m * jump_law.mean, math.sqrt(m) * jump_law.stdev
+    lo, hi = max(0.0, mean - 10.0 * sd), min(h, mean + 10.0 * sd)
     if lo >= hi:
         return 0.0
-    density_at_0 = beta if a == 1.0 else 0.0
+    gammainc = _scipy_ufunc("gammainc")
+    a, beta = wear.shape, wear.rate
+    c = 1.0 / (sd * _SQRT_2PI)
 
-    def integrand(x):
-        density = math.exp(log_c + (a - 1.0) * math.log(x) - beta * x) if x > 0.0 else density_at_0
-        return density * (normal_cdf(h - x, jumps) - p_negative)
+    def integrand(s):
+        z = (s - mean) / sd
+        return c * math.exp(-0.5 * z * z) * float(gammainc(a, beta * (h - s)))
 
     return integrate(integrand, lo, hi, tol=_QUAD_TOL)
 
@@ -176,10 +138,13 @@ def analytic_reliability(params: ModelParams, t: float) -> float:
     """Survival probability at t for the decoupled case, summed over shock counts.
 
     Term m is: (no hard failure)^m * P(m shocks) * P(wear + m jumps < H), the
-    last factor the gamma CDF at m = 0 and a quadrature of the wear density
-    against the jump-sum CDF otherwise (``_wear_below``). Truncation stops
-    when the count law's tail is negligible or the wear factor has decayed to
-    nothing. Coupled configurations are refused rather than approximated.
+    last factor the gamma CDF at m = 0 and a quadrature of the jump-sum
+    density against the gamma CDF otherwise (``_wear_below``). Truncation
+    stops when the count law's tail is negligible or the wear factor has
+    decayed to nothing. Coupled configurations, and an integrated shock
+    intensity lambda0 * t past the float range, raise UnsupportedConfigError
+    rather than an approximation; a quadrature that does not converge raises
+    IntegrationError.
     """
     _require_decoupled(params)
     t = float(t)  # a numpy time would carry numpy's overflow warnings into the sum
@@ -190,6 +155,10 @@ def analytic_reliability(params: ModelParams, t: float) -> float:
     deg = params.degradation
     shk = params.shock
     big_lambda = shk.lambda0 * t
+    if not math.isfinite(big_lambda):
+        raise UnsupportedConfigError(f"analytic reliability needs a finite integrated shock "
+                                     f"intensity lambda0 * t; got lambda0 = {shk.lambda0:g} "
+                                     f"at t = {t:g}")
     f_w = normal_cdf(shk.hard_threshold, shk.magnitude_law)
     glaw = GammaLaw(deg.alpha1 * t, deg.beta)
     h = deg.soft_threshold
@@ -203,10 +172,7 @@ def analytic_reliability(params: ModelParams, t: float) -> float:
         if m == 0:
             wear_ok = gamma_cdf(h, glaw)
         else:
-            try:
-                wear_ok = _wear_below(h, glaw, m, deg.jump_law)
-            except OverflowError as exc:
-                raise IntegrationError(f"the wear density of {glaw} overflows: {exc}") from exc
+            wear_ok = _wear_below(h, glaw, m, deg.jump_law)
             tiny_run = tiny_run + 1 if wear_ok < 1e-13 else 0
         total += (f_w**m) * p_m * wear_ok
         cum_pmf += p_m

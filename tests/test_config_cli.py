@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -13,12 +14,14 @@ import shockwear.simulate
 from shockwear import (
     ConfigError,
     IntegrationError,
+    NormalLaw,
     analytic_reliability,
     estimate_reliability,
     sweep,
 )
 from shockwear.cli import main
 from shockwear.config import config_to_dict, dump_config, load_config, parse_config
+from shockwear.kernel import normal_cdf
 from tests.stream_v1 import V1
 
 
@@ -510,33 +513,71 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert err == "numeric error: quadrature did not converge\n"
 
-    @pytest.mark.parametrize("model", [
-        {"H": 1e200, "beta": 1e200},
-        {"alpha1": 1.25e299, "alpha2": 1.25e299, "H": 1e300, "beta": 1.0},
+    @pytest.mark.parametrize("model, times", [
+        ({"H": 1e200, "beta": 1e200}, (1.0, 2.0, 4.0, 8.0)),
+        ({"alpha1": 1.25e299, "alpha2": 1.25e299, "H": 1e300, "beta": 1.0}, (4.0,)),
     ], ids=["rate_times_H_overflows", "wear_density_overflows"])
-    def test_overflow_is_numeric_error(self, tmp_path, model):
+    def test_overflow_is_numeric_error(self, tmp_path, model, times):
         # beta*H is inf in the m = 0 term, where a hand-rolled gamma CDF once
-        # never returned; the wear density's exp overflows in the quadrature.
-        # main runs in a subprocess, so that a hang fails this test instead of
-        # stalling the suite; a numpy overflow warning would be a second line.
+        # never returned, and a wear density once overflowed in the quadrature.
+        # Neither soft failure can happen here, so the oracle is the count
+        # law's generating function (p / (1 - q F_W(D1)))**(1/eta), with
+        # p = exp(-eta lambda0 t) and q = 1 - p, less the mass of negative jump
+        # sums it drops: at most E[N(t)] P(Y < 0), plus the quadrature's
+        # tolerance. The oracle runs in a
+        # subprocess, so that a hang fails this test instead of stalling the
+        # suite. (validate exits 3 on these configs, through the engine's
+        # step-size guard.)
         doc = json.loads((CONFIGS / "decoupled.json").read_text())
         doc["model"].update(model)
+        script = ("import sys\n"
+                  "from shockwear import analytic_reliability\n"
+                  "from shockwear.config import load_config\n"
+                  "model = load_config(sys.argv[1]).model\n"
+                  "print([analytic_reliability(model, float(t)) for t in sys.argv[2:]])")
         proc = subprocess.run(
-            [sys.executable, "-m", "shockwear.cli", "validate",
-             "--config", write_config(tmp_path, doc), "--reps", "200"],
+            [sys.executable, "-c", script, write_config(tmp_path, doc), *map(str, times)],
             capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 3, proc.stderr
-        assert proc.stderr.startswith("numeric error: ") and proc.stderr.count("\n") == 1
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        got = json.loads(proc.stdout)
+        m = doc["model"]
+        eta, f_w = m["eta"], normal_cdf(m["D1"], NormalLaw(m["W"]["mean"], m["W"]["stdev"]))
+        p_negative = normal_cdf(0.0, NormalLaw(m["Y"]["mean"], m["Y"]["stdev"]))
+        for t, value in zip(times, got):
+            p = math.exp(-eta * m["lambda0"] * t)
+            closed = (p / (1.0 - (1.0 - p) * f_w)) ** (1.0 / eta)
+            mean_count = math.expm1(eta * m["lambda0"] * t) / eta
+            assert abs(value - closed) <= mean_count * p_negative + 1e-9, t
 
     def test_huge_wear_shape_is_numeric_error(self, tmp_path, capsys):
-        # alpha1*t = H = 1e17: the wear density's log terms reach 8e18, whose
-        # rounding leaves it no digit; the oracle once printed the m = 0 term
-        # alone as analytic=0.183940
+        # alpha1*t = H = 1e17: the wear density's log terms once reached 8e18,
+        # whose rounding left it no digit, and validate exited 3. The gamma
+        # CDF of H - s is 1/2 to within the shape's sd of 3e8, so at t=1 the
+        # oracle is 1/2 times P(no fatal shock), which is 1 to 6 digits.
         doc = json.loads((CONFIGS / "decoupled.json").read_text())
         doc["model"].update(alpha1=1e17, alpha2=1e17, H=1e17, beta=1.0)
-        assert main(["validate", "--config", write_config(tmp_path, doc), "--reps", "200"]) == 3
+        assert main(["validate", "--config", write_config(tmp_path, doc), "--reps", "2000"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0].split()[2] == "analytic=0.500000"
+        assert out.splitlines()[-1].startswith("PASS")
+
+    def test_low_noise_wear_law_validates(self, tmp_path, capsys):
+        # Gamma(3e5 t, 1e5): the wear's sd is 1/200 of its mean. The oracle
+        # once refused the shape 2.4e6 at t=8 as losing its digits.
+        doc = json.loads((CONFIGS / "decoupled.json").read_text())
+        doc["model"].update(alpha1=3e5, alpha2=3e5, beta=1e5)
+        assert main(["validate", "--config", write_config(tmp_path, doc), "--reps", "2000"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("PASS")
+
+    def test_infinite_integrated_hazard_names_lambda0(self, tmp_path, capsys):
+        # lambda0 * t is inf at t=2; the refusal once named the count law's
+        # internal big_lambda
+        doc = json.loads((CONFIGS / "decoupled.json").read_text())
+        doc["model"].update(lambda0=1e308)
+        assert main(["validate", "--config", write_config(tmp_path, doc), "--reps", "100"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("numeric error: the wear density") and err.count("\n") == 1
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "lambda0 = 1e+308 at t = 2" in err and "big_lambda" not in err
 
     def test_short_horizon_needs_times(self, tmp_path, capsys):
         # no default check time (1, 2, 4, 8) lies within a horizon of 0.5

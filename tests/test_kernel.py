@@ -7,7 +7,7 @@ import pytest
 from scipy import special
 
 from shockwear import GammaLaw, NormalLaw, kernel
-from shockwear.kernel import facilitation_pmf, gamma_cdf, iid_sum_normal, normal_cdf
+from shockwear.kernel import facilitation_pmf, gamma_cdf, normal_cdf
 from shockwear.quadrature import integrate
 from tests.conftest import facilitation_mass, gamma_density, normal_density
 
@@ -314,23 +314,3 @@ class TestGammaSampler:
         kurt_excess = 6.0 / shape
         se_var = law.variance * math.sqrt((2.0 + kurt_excess) / n)
         assert abs(draws.var() - law.variance) < 4 * se_var
-
-
-class TestIidSumNormal:
-    def test_identity(self):
-        law = NormalLaw(0.5, 0.1)
-        assert iid_sum_normal(1, law) == law
-
-    def test_four_fold(self):
-        out = iid_sum_normal(4, NormalLaw(0.5, 0.1))
-        assert out.mean == pytest.approx(2.0)
-        assert out.stdev == pytest.approx(0.2)
-
-    def test_nine_fold(self):
-        out = iid_sum_normal(9, NormalLaw(0.5, 0.1))
-        assert out.mean == pytest.approx(4.5)
-        assert out.stdev == pytest.approx(0.3)
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            iid_sum_normal(0, NormalLaw(0.5, 0.1))

@@ -113,7 +113,9 @@ class TestAnalytic:
         assert analytic_reliability(p, 4.0) == want
 
     # analytic_reliability on perfbench/configs/decoupled.json at t = 1, 2, 4, 8
-    # when the oracle convolved the gamma CDF against the jump-sum density
+    # with the gamma CDF integrated against the jump-sum density, as
+    # _wear_below does; an earlier form, the wear density integrated against
+    # the jump-sum CDF, agreed with these to 1.7e-12
     PINNED = {1.0: 0.9982678348046121, 2.0: 0.971908645347567,
               4.0: 0.59896576473022, 8.0: 0.024713504884259656}
 
@@ -124,8 +126,9 @@ class TestAnalytic:
 
     @staticmethod
     def _quad_wear_term(h, a, beta, m, jumps):
-        """P(X + S_m < h, S_m >= 0) the other way round: scipy's gamma CDF of
-        h - y against the density of the jump sum y, integrated by QUADPACK."""
+        """P(X + S_m < h, S_m >= 0) as _wear_below writes it, scipy's gamma CDF
+        of h - y against the density of the jump sum y, but integrated by
+        QUADPACK over 12 standard deviations, with a break point at the mean."""
         mean, sd = m * jumps.mean, math.sqrt(m) * jumps.stdev
         lo, hi = max(0.0, mean - 12.0 * sd), min(h, mean + 12.0 * sd)
         if hi <= lo:
@@ -157,11 +160,12 @@ class TestAnalytic:
         want = self._quad_wear_term(5.0, 1.2, 1.2, 12, jumps)
         assert _wear_below(5.0, GammaLaw(1.2, 1.2), 12, jumps) == pytest.approx(want, abs=1e-9)
 
-    @pytest.mark.parametrize("a", [1e4, 1e5])
+    @pytest.mark.parametrize("a", [1e4, 1e5, 1e10, 1e17])
     def test_narrow_wear_peak_is_found(self, a):
-        # at h = a the wear mass (sd sqrt(a)) sits far inside a single first
-        # panel of [0, h]; at a = 1e5 every first sample once missed it and
-        # the term read 1e-21 for about 0.5
+        # at h = a the wear mass (sd sqrt(a)) is a narrow peak in [0, h]; at
+        # a = 1e5 every first sample of a wear-density integrand once missed
+        # it and the term read 1e-21 for about 0.5, and from about 2e5 up
+        # that integrand lost its digits and raised IntegrationError
         jumps = NormalLaw(0.5, 0.1)
         want = self._quad_wear_term(a, a, 1.0, 1, jumps)
         assert _wear_below(a, GammaLaw(a, 1.0), 1, jumps) == pytest.approx(want, abs=1e-9)
