@@ -26,7 +26,9 @@ class StepSizeError(RuntimeError):
 
 class IntegrationError(RuntimeError):
     """Raised by the adaptive quadrature of the semi-analytic reliability when
-    it cannot meet its tolerance; ``best_estimate`` holds its last value."""
+    its summed error estimate does not reach its tolerance within its round
+    cap, or is not finite; ``best_estimate`` holds the sum of its panels'
+    Kronrod values at that point."""
 
     def __init__(self, message, best_estimate=None):
         super().__init__(message)
@@ -38,5 +40,5 @@ class UnsupportedConfigError(ValueError):
     it deliberately refuses rather than approximates: wear feeding the shock
     intensity (gamma_dep != 0), a rate change that can happen, a theta law,
     jumps with P(Y < 0) above 1e-6, an integrated shock intensity lambda0 * t
-    that is not finite, or a jump law whose count terms do not truncate
-    within reliability._MAX_TERMS."""
+    or a wear shape alpha1 * t that is not finite, or a jump law whose count
+    terms do not truncate within reliability._MAX_TERMS."""

@@ -129,7 +129,9 @@ def _wear_below(h: float, wear: GammaLaw, m: int, jump_law: NormalLaw) -> float:
 
     def integrand(s):
         z = (s - mean) / sd
-        return c * math.exp(-0.5 * z * z) * float(gammainc(a, beta * (h - s)))
+        with np.errstate(over="ignore"):  # beta * (h - s) may be inf, where gammainc is 1
+            room = beta * (h - s)
+        return c * np.exp(-0.5 * z * z) * gammainc(a, room)
 
     return integrate(integrand, lo, hi, tol=_QUAD_TOL)
 
@@ -142,9 +144,9 @@ def analytic_reliability(params: ModelParams, t: float) -> float:
     density against the gamma CDF otherwise (``_wear_below``). Truncation
     stops when the count law's tail is negligible or the wear factor has
     decayed to nothing. Coupled configurations, and an integrated shock
-    intensity lambda0 * t past the float range, raise UnsupportedConfigError
-    rather than an approximation; a quadrature that does not converge raises
-    IntegrationError.
+    intensity lambda0 * t or a wear shape alpha1 * t past the float range,
+    raise UnsupportedConfigError rather than an approximation; a quadrature
+    that does not converge raises IntegrationError.
     """
     _require_decoupled(params)
     t = float(t)  # a numpy time would carry numpy's overflow warnings into the sum
@@ -154,11 +156,12 @@ def analytic_reliability(params: ModelParams, t: float) -> float:
         return 1.0
     deg = params.degradation
     shk = params.shock
+    for what, name, rate in (("integrated shock intensity", "lambda0", shk.lambda0),
+                             ("wear shape", "alpha1", deg.alpha1)):
+        if not math.isfinite(rate * t):
+            raise UnsupportedConfigError(f"analytic reliability needs a finite {what} "
+                                         f"{name} * t; got {name} = {rate:g} at t = {t:g}")
     big_lambda = shk.lambda0 * t
-    if not math.isfinite(big_lambda):
-        raise UnsupportedConfigError(f"analytic reliability needs a finite integrated shock "
-                                     f"intensity lambda0 * t; got lambda0 = {shk.lambda0:g} "
-                                     f"at t = {t:g}")
     f_w = normal_cdf(shk.hard_threshold, shk.magnitude_law)
     glaw = GammaLaw(deg.alpha1 * t, deg.beta)
     h = deg.soft_threshold

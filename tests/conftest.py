@@ -41,21 +41,17 @@ def make_params(*, H=VALVE["H"], D1=VALVE["D1"], D0=VALVE["D0"],
     )
 
 
-def gamma_density(x: float, law: GammaLaw) -> float:
-    """Density of ``law`` at x >= 0, an integrand for quadrature checks of
-    gamma_cdf. At x = 0 it is the limit from the right."""
-    if x == 0.0:
-        if law.shape == 1.0:
-            return law.rate
-        return 0.0 if law.shape > 1.0 else math.inf
-    return math.exp(law.shape * math.log(law.rate) + (law.shape - 1.0) * math.log(x)
-                    - law.rate * x - math.lgamma(law.shape))
+def gamma_density(x: np.ndarray, law: GammaLaw) -> np.ndarray:
+    """Density of ``law`` at each x > 0, an integrand for quadrature checks of
+    gamma_cdf."""
+    return np.exp(law.shape * math.log(law.rate) + (law.shape - 1.0) * np.log(x)
+                  - law.rate * x - math.lgamma(law.shape))
 
 
-def normal_density(x: float, law: NormalLaw) -> float:
-    """Density of ``law`` at x, an integrand for quadrature checks."""
+def normal_density(x: np.ndarray, law: NormalLaw) -> np.ndarray:
+    """Density of ``law`` at each x, an integrand for quadrature checks."""
     z = (x - law.mean) / law.stdev
-    return math.exp(-0.5 * z * z) / (law.stdev * math.sqrt(2.0 * math.pi))
+    return np.exp(-0.5 * z * z) / (law.stdev * math.sqrt(2.0 * math.pi))
 
 
 def facilitation_mass(eta: float, big_lambda: float, tail_tol: float = 1e-12) -> float:

@@ -579,6 +579,16 @@ class TestValidateCommand:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert "lambda0 = 1e+308 at t = 2" in err and "big_lambda" not in err
 
+    def test_infinite_wear_shape_names_alpha1(self, tmp_path, capsys):
+        # alpha1 * t is inf at t=2; the refusal once named the internal
+        # GammaLaw's shape
+        doc = json.loads((CONFIGS / "decoupled.json").read_text())
+        doc["model"].update(alpha1=1e308, alpha2=1e308)
+        assert main(["validate", "--config", write_config(tmp_path, doc), "--reps", "100"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "alpha1 = 1e+308 at t = 2" in err and "GammaLaw" not in err
+
     def test_short_horizon_needs_times(self, tmp_path, capsys):
         # no default check time (1, 2, 4, 8) lies within a horizon of 0.5
         doc = json.loads((CONFIGS / "decoupled.json").read_text())

@@ -44,10 +44,10 @@ class TestGammaCdf:
 
     def test_half_shape_against_quadrature(self):
         # quadrature oracle for the density; the sqrt substitution removes the
-        # integrable singularity at zero: pdf(v^2) * 2v is smooth on (0, 1].
-        # The clipped [0, 1e-12] sliver contributes ~1.2e-12, below tolerance.
+        # integrable singularity at zero: pdf(v^2) * 2v is smooth on (0, 1],
+        # and the quadrature never evaluates it at v = 0
         law = GammaLaw(0.5, 1.0)
-        oracle = integrate(lambda v: gamma_density(v * v, law) * 2.0 * v, 1e-12, 1.0, tol=1e-12)
+        oracle = integrate(lambda v: gamma_density(v * v, law) * 2.0 * v, 0.0, 1.0, tol=1e-12)
         assert gamma_cdf(1.0, law) == pytest.approx(oracle, abs=1e-10)
 
     def test_monotone_in_x(self):

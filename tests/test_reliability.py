@@ -14,6 +14,7 @@ from shockwear import (
     run_replications,
     sweep,
 )
+from shockwear import reliability
 from shockwear.config import load_config
 from shockwear.kernel import facilitation_pmf, gamma_cdf
 from shockwear.reliability import _wear_below, apply_sweep_value, wilson_interval
@@ -143,12 +144,18 @@ class TestAnalytic:
         return integrate.quad(f, lo, hi, epsabs=1e-14, epsrel=1e-13, limit=1000,
                               points=points)[0]
 
-    @pytest.mark.parametrize("a", [0.005, 0.05, 0.3, 0.7, 1.0, 1.2, 1.5, 1.9, 3.0, 8.0,
-                                   20.0, 60.0])
-    def test_wear_terms_against_quadpack(self, a):
+    @pytest.mark.parametrize("a, beta", [
+        *(pytest.param(a, max(1.2, a / 3.0), id=str(a))
+          for a in (0.005, 0.05, 0.125, 0.3, 0.375, 0.7, 1.0, 1.2, 1.5, 1.9, 3.0, 8.0, 20.0, 60.0)),
+        pytest.param(1e6, 1e6, id="narrow_1e6"),
+    ])
+    def test_wear_terms_against_quadpack(self, a, beta):
         # wear shape a = alpha1 * t; the rate keeps the mean wear a/beta at
-        # most 3, below H = 5, so the terms of few shocks carry mass at every a
-        beta = max(1.2, a / 3.0)
+        # most 3, below H = 5, so the terms of few shocks carry mass at every a.
+        # The corners a Kronrod rule is likeliest to miss: the (h - s)**a
+        # endpoint of a small shape (0.125 and 0.375 are validate's shapes at
+        # t = 0.25 and 0.75), and a wear law 1 +- 0.001 (shape = rate = 1e6),
+        # whose gamma CDF falls from 1 to 0 within a few thousandths of s = 4
         jumps = NormalLaw(0.5, 0.1)
         for m in range(1, 13):
             want = self._quad_wear_term(5.0, a, beta, m, jumps)
@@ -169,6 +176,26 @@ class TestAnalytic:
         jumps = NormalLaw(0.5, 0.1)
         want = self._quad_wear_term(a, a, 1.0, 1, jumps)
         assert _wear_below(a, GammaLaw(a, 1.0), 1, jumps) == pytest.approx(want, abs=1e-9)
+
+    def test_oracle_integrand_calls_are_few(self, monkeypatch):
+        # each shocked term hands its integrand arrays of nodes, a round at a
+        # time; evaluated a node at a time, decoupled.json's four times took
+        # 42 640 calls
+        calls = 0
+        quadrature = reliability.integrate
+
+        def counting_integrate(f, a, b, tol):
+            def counted(x):
+                nonlocal calls
+                calls += 1
+                return f(x)
+            return quadrature(counted, a, b, tol=tol)
+
+        monkeypatch.setattr(reliability, "integrate", counting_integrate)
+        p = load_config(str(DECOUPLED_JSON)).model
+        for t in (1.0, 2.0, 4.0, 8.0):
+            analytic_reliability(p, t)
+        assert 0 < calls <= 500
 
     def test_monotone_in_time(self):
         p = decoupled()
