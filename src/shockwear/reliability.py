@@ -115,23 +115,25 @@ def _wear_below(h: float, wear: GammaLaw, m: int, jump_law: NormalLaw) -> float:
     """P(X + S < h, S >= 0) for pure wear X ~ ``wear`` and S the sum of m >= 1
     jumps drawn from ``jump_law``, so S ~ N(m mu, m sigma^2).
 
-    The density of S is integrated against the gamma CDF of h - s, scipy's
-    ``gammainc``, over the jump sums within 10 standard deviations of m mu
-    that lie in [0, h]; the term is 0 where none do.
+    The integral runs over the standard score z of S = m mu + sqrt(m) sigma z:
+    the standard normal density times the gamma CDF of h - S, scipy's
+    ``gammainc``, over the z within 10 of 0 at which S lies in [0, h]; the
+    term is 0 where none do. In z the window keeps its width however small
+    sigma is. In s its nodes would lie on the float grid at m mu: too coarse
+    for the quadrature to converge at sigma = 1e-12 (m mu = 0.5), and wider
+    than the whole window at 1e-20.
     """
     mean, sd = m * jump_law.mean, math.sqrt(m) * jump_law.stdev
-    lo, hi = max(0.0, mean - 10.0 * sd), min(h, mean + 10.0 * sd)
+    lo, hi = max(-10.0, -mean / sd), min(10.0, (h - mean) / sd)
     if lo >= hi:
         return 0.0
     gammainc = _scipy_ufunc("gammainc")
-    a, beta = wear.shape, wear.rate
-    c = 1.0 / (sd * _SQRT_2PI)
+    a, beta, room = wear.shape, wear.rate, h - mean
 
-    def integrand(s):
-        z = (s - mean) / sd
-        with np.errstate(over="ignore"):  # beta * (h - s) may be inf, where gammainc is 1
-            room = beta * (h - s)
-        return c * np.exp(-0.5 * z * z) * gammainc(a, room)
+    def integrand(z):
+        with np.errstate(over="ignore"):  # beta * (room - sd z) may be inf, where gammainc is 1
+            x = beta * np.maximum(room - sd * z, 0.0)
+        return np.exp(-0.5 * z * z) * gammainc(a, x) / _SQRT_2PI
 
     return integrate(integrand, lo, hi, tol=_QUAD_TOL)
 

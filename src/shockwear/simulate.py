@@ -33,8 +33,10 @@ shocks total wear and intensity only grow, so the rules ask the path for each
 replication's next event (the first step at which soft failure or a guard
 violation holds, or the first arrival candidate) and run the per-step rules
 only there. Results are bit-identical to visiting every step, and to running
-each set alone; a StepSizeError is that of the first set with a violation and
-names its earliest violating step.
+each set alone. A guard violation stops its replication as a failure does
+(mode 3), and its set at the chunk's end; simulate_sets raises the
+StepSizeError of the first set with such a stop, read from that set's
+results: its earliest violating step, at the largest intensity there.
 
 Traces (simulate_paths) stay columnar from the chunk to the caller: a chunk
 keeps each row's slice of its pure path and, per step that took shocks, the
@@ -176,16 +178,19 @@ def step_count(horizon: float, dt: float) -> int:
 
 class BatchResult:
     """Plain arrays for a contiguous range of replications, and their traces
-    if asked for. A replication's trace is kept as its pure path, one array
-    per chunk it ran (a row per step taken), and its change points, one
-    ``(row, jumps, n_shocks)`` per step that took a shock, in step order;
-    ``trace`` assembles the columns."""
+    if asked for. ``mode`` is 0 survived, 1 soft, 2 hard or 3 guard stop:
+    rate*dt > MAX_RATE_DT at the step ending at failure_time, with that step's
+    total wear and shock count in final_total and n_shocks (simulate_sets
+    raises on a 3, so none leaves it). A replication's trace is kept as its
+    pure path, one array per chunk it ran (a row per step taken), and its
+    change points, one ``(row, jumps, n_shocks)`` per step that took a shock,
+    in step order; ``trace`` assembles the columns."""
 
     __slots__ = ("failure_time", "mode", "rate_change_time", "n_shocks", "final_total", "traces")
 
     def __init__(self, n, want_traces):
         self.failure_time = np.full(n, np.inf)
-        self.mode = np.zeros(n, dtype=np.int8)  # 0 survived, 1 soft, 2 hard
+        self.mode = np.zeros(n, dtype=np.int8)  # 0 survived, 1 soft, 2 hard, 3 guard stop
         self.rate_change_time = np.full(n, np.nan)
         self.n_shocks = np.zeros(n, dtype=np.int64)
         self.final_total = np.zeros(n)
@@ -385,12 +390,12 @@ class _Batch:
         self.draws, self.out = draws, out
         self.pure, self.jumps = np.zeros(out.failure_time.size), np.zeros(out.failure_time.size)
 
-    def advance(self, ids: np.ndarray, k0: int) -> list[tuple]:
+    def advance(self, ids: np.ndarray, k0: int) -> None:
         """Advance rows ``ids`` (alive, ascending) through the chunk the draws
-        hold, whose first step is k0. Returns the guard violations met, one
-        ``(step, -rate, rep_index)`` per row that stopped at its first step
-        with ``rate*dt > MAX_RATE_DT``: the earliest step, at the largest
-        intensity, sorts first."""
+        hold, whose first step is k0. A row stops at its first soft failure,
+        fatal shock or step with ``rate*dt > MAX_RATE_DT`` (mode 1, 2 or 3),
+        and a row still alive at the chunk's end gets its total wear there as
+        ``final_total``."""
         wear = _DensePath(self.draws, self.deg, ids, self.pure[ids])
         span = wear.span
         jumps, nshk = self.jumps[ids], self.out.n_shocks[ids]
@@ -398,18 +403,18 @@ class _Batch:
         if self.deg.alpha2 != self.deg.alpha1 and changed.any():
             wear.switch(np.flatnonzero(changed), 0)
 
-        traces, violations = self.out.traces, []
+        traces = self.out.traces
         every = act = np.arange(ids.size)
         pos = np.zeros(ids.size, dtype=np.intp)  # first step not yet processed
 
         def ends(rows, wear):  # soft failure or a guard violation, on total wear
             wear += jumps[rows, None]
             return ((wear >= self.deg.soft_threshold)
-                    | (self._rate(nshk[rows, None], wear) * self.dt > MAX_RATE_DT))
+                    | (_rate(self.shk, nshk[rows, None], wear) * self.dt > MAX_RATE_DT))
 
         while act.size:
             last = wear.at(act, span - 1) + jumps[act]
-            mu_last = self._rate(nshk[act], last) * self.dt
+            mu_last = _rate(self.shk, nshk[act], last) * self.dt
             e = wear.first_arrival(act, pos[act], mu_last)
             rows = np.flatnonzero((last >= self.deg.soft_threshold) | (mu_last > MAX_RATE_DT))
             if rows.size:  # only rows that stop by the chunk's end need a count
@@ -422,16 +427,13 @@ class _Batch:
             # The per-step rules at each row's event step, in step-loop order:
             # soft failure, then the guard, then arrivals.
             total = wear.at(act, e) + jumps[act]
-            rate = self._rate(nshk[act], total)
-            mu = rate * self.dt
+            mu = _rate(self.shk, nshk[act], total) * self.dt
             soft = total >= self.deg.soft_threshold
             over = ~soft & (mu > MAX_RATE_DT)
             running = ~(soft | over)
             counts = np.zeros(act.size, dtype=np.int64)
             if running.any():
                 counts[running] = wear.arrivals(act[running], e[running], mu[running])
-            for j in np.flatnonzero(over):
-                violations.append((k0 + int(e[j]), -rate[j], self.draws.rep_lo + int(ids[act[j]])))
 
             failed = soft.copy()
             hard = np.zeros(act.size, dtype=bool)
@@ -454,14 +456,14 @@ class _Batch:
                     for j in np.flatnonzero(switched):
                         wear.switch(rows[j:j + 1], cols[j] + 1)
 
-            if failed.any():
-                rows, cols = act[failed], e[failed]
-                gone = ids[rows]
-                self.out.failure_time[gone] = (k0 + 1 + cols) * self.dt
-                self.out.mode[gone] = np.where(hard[failed], 2, 1).astype(np.int8)
-                self.out.final_total[gone] = total[failed]
+            stop = failed | over  # a guard stop takes no arrivals: its total is its step's
+            if stop.any():
+                gone = ids[act[stop]]
+                self.out.failure_time[gone] = (k0 + 1 + e[stop]) * self.dt
+                self.out.mode[gone] = np.where(over, 3, np.where(hard, 2, 1))[stop]
+                self.out.final_total[gone] = total[stop]
             pos[act] = e + 1
-            keep = ~(failed | over) & (e + 1 < span)
+            keep = ~stop & (e + 1 < span)
             act = act[keep]
 
         if traces is not None:  # a failed row's pure path ends at its failure step
@@ -471,11 +473,8 @@ class _Batch:
         self.pure[ids] = wear.at(every, span - 1)
         self.jumps[ids] = jumps
         self.out.n_shocks[ids] = nshk
-        return violations
-
-    def _rate(self, nshk, total):
-        """Shock intensity after ``nshk`` shocks at total wear ``total``."""
-        return (1.0 + self.shk.eta * nshk) * (self.shk.lambda0 + self.shk.gamma_dep * total)
+        alive = self.out.mode[ids] == 0
+        self.out.final_total[ids[alive]] = self.pure[ids[alive]] + jumps[alive]
 
     def _shocks(self, ids, counts, t_end, nshk, jumps, changed) -> np.ndarray:
         """Apply each row's ``counts`` arrivals in order, as the step loop does.
@@ -506,11 +505,16 @@ class _Batch:
         return hard
 
 
+def _rate(shk: ShockParams, nshk, total):
+    """Shock intensity after ``nshk`` shocks at total wear ``total``."""
+    return (1.0 + shk.eta * nshk) * (shk.lambda0 + shk.gamma_dep * total)
+
+
 def _run_block(param_sets: list[ModelParams], master_seed: int, want_traces: bool,
-               reps: tuple[int, int]) -> tuple[list[BatchResult], list[list[tuple]]]:
+               reps: tuple[int, int]) -> list[BatchResult]:
     """Replications reps[0] .. reps[1]-1 under every parameter set, on one set
-    of path draws, in results of their own; returns them and each set's guard
-    violations. A set stops at its first violating chunk, as the run will
+    of path draws, in results of their own. A set stops at the end of the
+    chunk in which one of its rows made a guard stop (mode 3), as the run will
     raise. Nothing else made here outlives the call."""
     lo, hi = reps
     outs = [BatchResult(hi - lo, want_traces) for _ in param_sets]
@@ -518,23 +522,19 @@ def _run_block(param_sets: list[ModelParams], master_seed: int, want_traces: boo
     n_steps = step_count(num.horizon, num.dt)
     draws = _V1Draws(param_sets[0], master_seed, lo, hi - lo)
     batches = [_Batch(p, draws, out) for p, out in zip(param_sets, outs)]
-    violations = [[] for _ in batches]
     for k0 in range(0, n_steps, _CHUNK):
-        # each set's running rows; none once the set has met a violation
-        live = [(b.out.mode == 0) & (not found) for b, found in zip(batches, violations)]
+        # each set's running rows; none once one of its rows has made a guard stop
+        live = [(out.mode == 0) & ~(out.mode == 3).any() for out in outs]
         union = np.flatnonzero(np.logical_or.reduce(live))
         if union.size == 0:
             break
         span = min(_CHUNK, n_steps - k0)
         draws.chunk(union, span)
-        for b, found, rows_alive in zip(batches, violations, live):
+        for b, rows_alive in zip(batches, live):
             ids = np.flatnonzero(rows_alive)
             if ids.size:
-                found += b.advance(ids, k0)
-    for b in batches:  # a set with a violation raises, so its totals are never read
-        rows = np.flatnonzero(b.out.mode == 0)
-        b.out.final_total[rows] = b.pure[rows] + b.jumps[rows]
-    return outs, violations
+                b.advance(ids, k0)
+    return outs
 
 
 def _workers(n_blocks: int) -> int:
@@ -610,21 +610,21 @@ def simulate_sets(param_sets: list[ModelParams], master_seed: int, rep_lo: int, 
     spans = [(lo, min(lo + rows, rep_hi)) for lo in range(rep_lo, rep_hi, rows)]
     job = functools.partial(_run_block, param_sets, master_seed, want_traces)
     pool = None if want_traces or len(spans) == 1 else _pool(len(spans))
-    violations = [[] for _ in param_sets]
     try:
         blocks = map(job, spans) if pool is None else pool.map(job, spans)
-        for (lo, _), (parts, found_block) in zip(spans, blocks):
-            for out, part, found, block in zip(outs, parts, violations, found_block):
+        for (lo, _), parts in zip(spans, blocks):
+            for out, part in zip(outs, parts):
                 out.put(lo - rep_lo, part)
-                found += block
     finally:
         if pool is not None:  # waits for the blocks still running, then for every worker
             pool.shutdown(cancel_futures=True)
-    dt = param_sets[0].numerics.dt
-    for found in violations:
-        if found:  # the step loop's error: its earliest violating step, at the largest intensity
-            step, neg_rate, rep_index = min(found)
-            rate, t_end = -neg_rate, (step + 1) * dt
+    for p, out in zip(param_sets, outs):
+        stops = np.flatnonzero(out.mode == 3)
+        if stops.size:  # the step loop's error: its earliest guard stop, at the largest intensity
+            t_end, dt = float(out.failure_time[stops].min()), p.numerics.dt
+            first = stops[out.failure_time[stops] == t_end]  # ascending, so ties go to the first
+            rates = _rate(p.shock, out.n_shocks[first], out.final_total[first])
+            rate, rep_index = float(rates.max()), rep_lo + int(first[rates.argmax()])
             raise StepSizeError(
                 f"intensity*dt = {rate * dt:.4g} exceeds {MAX_RATE_DT} at t={t_end:.6g}; "
                 f"use dt <= {MAX_RATE_DT / rate:.4g}",

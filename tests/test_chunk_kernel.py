@@ -172,6 +172,33 @@ def test_step_size_error_names_a_replayable_replication():
     assert alone.value.suggested_dt == batch.value.suggested_dt
 
 
+def test_guard_stops_are_results(monkeypatch):
+    # a guard stop is recorded as a failure is: mode 3 at its step's end time,
+    # with that step's total wear and shock count, from which the run's
+    # StepSizeError is read: the earliest stop at the largest intensity there
+    p = make_params(horizon=10.0, **GUARD)
+    returned = []
+    advance = simulate._Batch.advance
+    monkeypatch.setattr(simulate._Batch, "advance",
+                        lambda self, ids, k0: returned.append(advance(self, ids, k0)))
+    (out,) = simulate._run_block([p], 5, False, (0, 300))
+    assert returned and all(r is None for r in returned)
+    stops = np.flatnonzero(out.mode == 3)
+    shk = p.shock
+    rates = ((1.0 + shk.eta * out.n_shocks[stops])
+             * (shk.lambda0 + shk.gamma_dep * out.final_total[stops]))
+    assert np.all(rates * 0.01 > simulate.MAX_RATE_DT)
+    earliest = out.failure_time[stops] == out.failure_time[stops].min()
+    j = np.flatnonzero(earliest)[np.argmax(rates[earliest])]
+    with pytest.raises(StepSizeError) as err:
+        simulate.simulate_sets([p], 5, 0, 300)
+    assert err.value.suggested_dt == simulate.MAX_RATE_DT / rates[j]
+    assert (err.value.time, err.value.rep_index) == (out.failure_time[stops[j]], stops[j])
+    names = {node.id for node in ast.walk(ast.parse(inspect.getsource(simulate)))
+             if isinstance(node, ast.Name)}
+    assert "violations" not in names
+
+
 def _block_guard_params():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)

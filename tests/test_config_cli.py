@@ -569,6 +569,28 @@ class TestValidateCommand:
         assert main(["validate", "--config", write_config(tmp_path, doc), "--reps", "2000"]) == 0
         assert capsys.readouterr().out.splitlines()[-1].startswith("PASS")
 
+    @pytest.mark.parametrize("stdev", [1e-12, 1e-20])
+    def test_near_deterministic_jumps_validate(self, tmp_path, capsys, stdev):
+        # the oracle once dropped every shocked term at Y.stdev = 1e-20
+        # (analytic=0.367684 at t=1, exit 4) and exited 3 at 1e-12
+        doc = json.loads((CONFIGS / "decoupled.json").read_text())
+        doc["model"]["Y"]["stdev"] = stdev
+        cfg = write_config(tmp_path, doc)
+        assert main(["validate", "--config", cfg, "--reps", "4000", "--seed", "1"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("PASS")
+
+    def test_count_terms_past_the_cap_refused(self, tmp_path, capsys, monkeypatch):
+        # H = 1000 leaves wear room for hundreds of jumps, so the wear factor
+        # never decays and the sum stops only at the count law's tail
+        monkeypatch.setattr(shockwear.reliability, "_MAX_TERMS", 20)
+        doc = json.loads((CONFIGS / "decoupled.json").read_text())
+        doc["model"]["H"] = 1000.0
+        assert main(["validate", "--config", write_config(tmp_path, doc), "--reps", "100"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("config error: analytic reliability did not truncate within 20 "
+                              "count terms; ")
+
     def test_infinite_integrated_hazard_names_lambda0(self, tmp_path, capsys):
         # lambda0 * t is inf at t=2; the refusal once named the count law's
         # internal big_lambda

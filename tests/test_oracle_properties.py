@@ -1,5 +1,6 @@
 """Bounds of the oracle's shocked terms, checked on wear laws drawn by
-hypothesis over shapes 1e-3 to 1e17 and rates 1e-3 to 1e200.
+hypothesis over shapes 1e-3 to 1e17 and rates 1e-3 to 1e200, and on jump
+laws whose coefficient of variation runs down to 1e-300.
 
 Kept apart from tests/test_reliability.py so that without hypothesis only
 these tests are skipped."""
@@ -24,7 +25,8 @@ def _log_uniform(lo, hi):
 @settings(max_examples=100, deadline=None)
 @given(shape=_log_uniform(1e-3, 1e17), rate=_log_uniform(1e-3, 1e200),
        wear_to_mean=_log_uniform(1e-3, 1e3), shocks_to_h=st.integers(0, 8),
-       jump_mean=st.sampled_from([0.1, 0.5, 2.0]), jump_cv=st.sampled_from([0.01, 0.1, 0.2]))
+       jump_mean=st.sampled_from([0.1, 0.5, 2.0]),
+       jump_cv=st.sampled_from([0.01, 0.1, 0.2]) | _log_uniform(1e-300, 1e-3))
 def test_wear_term_is_bounded_and_nonincreasing_in_shocks(shape, rate, wear_to_mean, shocks_to_h,
                                                            jump_mean, jump_cv):
     # P(X + S_m < h, S_m >= 0) lies in [0, P(0 <= S_m < h)], each up to the

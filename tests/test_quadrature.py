@@ -38,19 +38,27 @@ def test_bad_bounds():
         integrate(lambda x: x, 0.0, 1.0, tol=0.0)
 
 
-@pytest.mark.parametrize("a, b, f", [
-    (0.0, 1.0, np.sqrt),                      # refined near 0 over several rounds
-    (-2.0, 3.0, np.abs),                      # a kink inside a panel
-    (-1.0, 0.0, lambda x: (-x) ** -0.5),      # infinite at b
-], ids=["sqrt", "kink", "infinite_end"])
-def test_integrand_sees_only_1d_float_arrays_inside_the_interval(a, b, f):
+@pytest.mark.parametrize("a, b, f, error", [
+    (0.0, 1.0, np.sqrt, None),                      # refined near 0 over several rounds
+    (-2.0, 3.0, np.abs, None),                      # a kink inside a panel
+    (-1.0, 0.0, lambda x: (-x) ** -0.5, None),      # infinite at b
+    # infinite at a = 4, whose float spacing the panels there reach before
+    # tol: halving them further would put nodes on 4, so the run fails instead
+    (4.0, 5.0, lambda x: (x - 4.0) ** -0.9, IntegrationError),
+], ids=["sqrt", "kink", "infinite_end", "end_at_float_spacing"])
+def test_integrand_sees_only_1d_float_arrays_inside_the_interval(a, b, f, error):
     seen = []
 
     def record(x):
         seen.append(x)
         return f(x)
 
-    integrate(record, a, b, tol=1e-6)
+    if error is None:
+        integrate(record, a, b, tol=1e-6)
+    else:
+        with pytest.raises(error) as exc_info:
+            integrate(record, a, b, tol=1e-6)
+        assert math.isfinite(exc_info.value.best_estimate)
     assert len(seen) > 1
     for x in seen:
         assert type(x) is np.ndarray and x.ndim == 1 and x.dtype == np.float64 and x.size > 0

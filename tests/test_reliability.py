@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from shockwear import (
 )
 from shockwear import reliability
 from shockwear.config import load_config
-from shockwear.kernel import facilitation_pmf, gamma_cdf
+from shockwear.kernel import facilitation_pmf, gamma_cdf, normal_cdf
 from shockwear.reliability import _wear_below, apply_sweep_value, wilson_interval
 from tests.conftest import make_params
 
@@ -176,6 +177,25 @@ class TestAnalytic:
         jumps = NormalLaw(0.5, 0.1)
         want = self._quad_wear_term(a, a, 1.0, 1, jumps)
         assert _wear_below(a, GammaLaw(a, 1.0), 1, jumps) == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("stdev", [1e-12, 1e-20, 1e-300])
+    def test_near_deterministic_jumps_shift_the_wear_law(self, stdev):
+        # m jumps of spread stdev sum to m mu, so term m is the count law's
+        # p_m F_W(D1)^m times P(X < H - m mu), and 0 once m mu >= H. A window
+        # of 10 sd in the jump sum s once lay within half an ulp of m mu, so
+        # every shocked term read 0 (1e-20), or its quadrature failed (1e-12)
+        p = load_config(str(DECOUPLED_JSON)).model
+        p = replace(p, degradation=replace(p.degradation, jump_law=NormalLaw(0.5, stdev)))
+        deg, shk = p.degradation, p.shock
+        f_w = normal_cdf(shk.hard_threshold, shk.magnitude_law)
+        for t in (1.0, 2.0, 4.0, 8.0):
+            want, m = 0.0, 0
+            while m * deg.jump_law.mean < deg.soft_threshold:
+                room = deg.soft_threshold - m * deg.jump_law.mean
+                want += (facilitation_pmf(m, shk.eta, shk.lambda0 * t) * f_w**m
+                         * gamma_cdf(room, GammaLaw(deg.alpha1 * t, deg.beta)))
+                m += 1
+            assert abs(analytic_reliability(p, t) - want) <= 1e-9, t
 
     def test_oracle_integrand_calls_are_few(self, monkeypatch):
         # each shocked term hands its integrand arrays of nodes, a round at a
